@@ -66,11 +66,12 @@ int main(int argc, char** argv) {
     auto world = bench.tokens.pdb->Clone();
     ra::PlanPtr plan = sql::PlanQuery(ie::kQuery4, world->db());
     infer::SubsetUniformProposal proposal(*bench.model, targeted);
-    pdb::MaterializedQueryEvaluator evaluator(
-        world.get(), &proposal, plan.get(),
+    pdb::SharedChainEvaluator evaluator(
+        world.get(), &proposal,
         {.steps_per_sample = k, .burn_in = 0, .seed = DeriveSeed(master, 2)});
+    evaluator.AddQuery(plan.get());
     evaluator.Run(20000);
-    truth = evaluator.answer();
+    truth = evaluator.answer(0);
   }
 
   // Both kernels deliberately share ONE derived stream per budget row, so
@@ -86,24 +87,26 @@ int main(int argc, char** argv) {
       auto world = bench.tokens.pdb->Clone();
       ra::PlanPtr plan = sql::PlanQuery(ie::kQuery4, world->db());
       auto proposal = bench.MakeProposal();
-      pdb::MaterializedQueryEvaluator evaluator(
-          world.get(), proposal.get(), plan.get(),
+      pdb::SharedChainEvaluator evaluator(
+          world.get(), proposal.get(),
           {.steps_per_sample = k, .burn_in = 0, .seed = kernel_seed});
+      evaluator.AddQuery(plan.get());
       evaluator.Run(samples);
       table.AddRow({"document-batch (whole DB)", std::to_string(budget),
-                    FormatDouble(evaluator.answer().SquaredError(truth), 5)});
+                    FormatDouble(evaluator.answer(0).SquaredError(truth), 5)});
     }
     // Targeted kernel.
     {
       auto world = bench.tokens.pdb->Clone();
       ra::PlanPtr plan = sql::PlanQuery(ie::kQuery4, world->db());
       infer::SubsetUniformProposal proposal(*bench.model, targeted);
-      pdb::MaterializedQueryEvaluator evaluator(
-          world.get(), &proposal, plan.get(),
+      pdb::SharedChainEvaluator evaluator(
+          world.get(), &proposal,
           {.steps_per_sample = k, .burn_in = 0, .seed = kernel_seed});
+      evaluator.AddQuery(plan.get());
       evaluator.Run(samples);
       table.AddRow({"targeted (Boston docs)", std::to_string(budget),
-                    FormatDouble(evaluator.answer().SquaredError(truth), 5)});
+                    FormatDouble(evaluator.answer(0).SquaredError(truth), 5)});
     }
   }
   table.Print(std::cout);

@@ -18,7 +18,7 @@
 #include "ie/queries.h"
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
-#include "pdb/query_evaluator.h"
+#include "pdb/shared_chain.h"
 #include "sql/binder.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -90,15 +90,11 @@ struct NerBench {
     tokens.pdb->set_model(model.get());
   }
 
-  /// `prefetch` arms the proposal's speculative site prefetch against this
-  /// bench's model (bitwise-invisible to the trajectory; ablation knob).
   std::unique_ptr<ie::DocumentBatchProposal> MakeProposal(
-      size_t proposals_per_batch = 2000, bool prefetch = false) const {
-    auto proposal = std::make_unique<ie::DocumentBatchProposal>(
+      size_t proposals_per_batch = 2000) const {
+    return std::make_unique<ie::DocumentBatchProposal>(
         &tokens.docs,
         ie::NerProposalOptions{.proposals_per_batch = proposals_per_batch});
-    if (prefetch) proposal->EnablePrefetch(model.get());
-    return proposal;
   }
 };
 
@@ -121,36 +117,14 @@ inline pdb::QueryAnswer EstimateGroundTruth(const NerBench& bench,
   auto world = bench.tokens.pdb->Clone();
   ra::PlanPtr plan = sql::PlanQuery(query, world->db());
   auto proposal = bench.MakeProposal();
-  pdb::MaterializedQueryEvaluator evaluator(
-      world.get(), proposal.get(), plan.get(),
+  pdb::SharedChainEvaluator evaluator(
+      world.get(), proposal.get(),
       {.steps_per_sample = steps_per_sample,
        .burn_in = DefaultBurnIn(bench.tokens.num_tokens()),
        .seed = seed});
+  evaluator.AddQuery(plan.get());
   evaluator.Run(samples);
-  return evaluator.answer();
-}
-
-/// Runs `evaluator` until its answer halves the squared error of the first
-/// (single-sample) approximation against `truth` — the paper's Fig. 4(a)
-/// "query evaluation time" metric. Returns elapsed seconds; gives up after
-/// `max_samples` (returns the elapsed time, flagging *converged=false).
-inline double TimeToHalfError(pdb::QueryEvaluator& evaluator,
-                              const pdb::QueryAnswer& truth,
-                              uint64_t max_samples, bool* converged) {
-  Stopwatch timer;
-  evaluator.Initialize();
-  evaluator.DrawSample();
-  const double initial_error = evaluator.answer().SquaredError(truth);
-  const double target = initial_error / 2.0;
-  *converged = false;
-  for (uint64_t i = 1; i < max_samples; ++i) {
-    evaluator.DrawSample();
-    if (evaluator.answer().SquaredError(truth) <= target) {
-      *converged = true;
-      break;
-    }
-  }
-  return timer.ElapsedSeconds();
+  return evaluator.answer(0);
 }
 
 }  // namespace bench

@@ -243,24 +243,19 @@ int main(int argc, char** argv) {
             .steps_per_sample = k,
             .burn_in = 0,
             .seed = DeriveSeed(master, row_stream + 3)};
-        std::unique_ptr<pdb::QueryEvaluator> evaluator;
-        if (materialized) {
-          evaluator = std::make_unique<pdb::MaterializedQueryEvaluator>(
-              world.get(), proposal.get(), plan.get(), options);
-        } else {
-          evaluator = std::make_unique<pdb::NaiveQueryEvaluator>(
-              world.get(), proposal.get(), plan.get(), options);
-        }
+        pdb::SharedChainEvaluator evaluator(world.get(), proposal.get(),
+                                            options, materialized);
+        evaluator.AddQuery(plan.get());
         Stopwatch timer;
-        evaluator->Initialize();
-        evaluator->DrawSample();
-        const double initial = evaluator->answer().SquaredError(truth);
+        evaluator.Initialize();
+        evaluator.DrawSample();
+        const double initial = evaluator.answer(0).SquaredError(truth);
         uint64_t used = 1;
         double current = initial;
         while (used < max_samples && current > initial / 2.0) {
-          evaluator->DrawSample();
+          evaluator.DrawSample();
           ++used;
-          current = evaluator->answer().SquaredError(truth);
+          current = evaluator.answer(0).SquaredError(truth);
         }
         *samples_used = used;
         *error_fraction = initial > 0.0 ? current / initial : 0.0;

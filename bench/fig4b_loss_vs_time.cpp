@@ -30,7 +30,7 @@ struct LossPoint {
   double loss;
 };
 
-std::vector<LossPoint> LossCurve(pdb::QueryEvaluator& evaluator,
+std::vector<LossPoint> LossCurve(pdb::SharedChainEvaluator& evaluator,
                                  const pdb::QueryAnswer& truth,
                                  uint64_t samples) {
   std::vector<LossPoint> curve;
@@ -39,7 +39,7 @@ std::vector<LossPoint> LossCurve(pdb::QueryEvaluator& evaluator,
   for (uint64_t i = 0; i < samples; ++i) {
     evaluator.DrawSample();
     curve.push_back({timer.ElapsedSeconds(),
-                     evaluator.answer().SquaredError(truth)});
+                     evaluator.answer(0).SquaredError(truth)});
   }
   return curve;
 }
@@ -104,15 +104,17 @@ int main(int argc, char** argv) {
   auto world_naive = bench.tokens.pdb->Clone();
   ra::PlanPtr plan_naive = sql::PlanQuery(ie::kQuery1, world_naive->db());
   auto prop_naive = bench.MakeProposal();
-  pdb::NaiveQueryEvaluator naive(world_naive.get(), prop_naive.get(),
-                                 plan_naive.get(), options);
+  pdb::SharedChainEvaluator naive(world_naive.get(), prop_naive.get(), options,
+                                  /*materialized=*/false);
+  naive.AddQuery(plan_naive.get());
   const auto naive_curve = LossCurve(naive, truth, samples);
 
   auto world_mat = bench.tokens.pdb->Clone();
   ra::PlanPtr plan_mat = sql::PlanQuery(ie::kQuery1, world_mat->db());
   auto prop_mat = bench.MakeProposal();
-  pdb::MaterializedQueryEvaluator materialized(world_mat.get(), prop_mat.get(),
-                                               plan_mat.get(), options);
+  pdb::SharedChainEvaluator materialized(world_mat.get(), prop_mat.get(),
+                                         options);
+  materialized.AddQuery(plan_mat.get());
   const auto mat_curve = LossCurve(materialized, truth, samples);
 
   const double norm = std::max(naive_curve.front().loss, 1e-12);
@@ -225,16 +227,17 @@ int main(int argc, char** argv) {
     auto world = bench.tokens.pdb->Clone();
     ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, world->db());
     auto proposal = bench.MakeProposal();
-    pdb::MaterializedQueryEvaluator evaluator(
-        world.get(), proposal.get(), plan.get(),
+    pdb::SharedChainEvaluator evaluator(
+        world.get(), proposal.get(),
         {.steps_per_sample = k_ab, .burn_in = 0, .seed = ablation_seed});
+    evaluator.AddQuery(plan.get());
     Stopwatch timer;
     evaluator.Initialize();
     evaluator.DrawSample();
-    const double target = evaluator.answer().SquaredError(truth) / 2.0;
+    const double target = evaluator.answer(0).SquaredError(truth) / 2.0;
     uint64_t used = 1;
     while (used < 2000 &&
-           evaluator.answer().SquaredError(truth) > target) {
+           evaluator.answer(0).SquaredError(truth) > target) {
       evaluator.DrawSample();
       ++used;
     }

@@ -28,16 +28,17 @@ int main(int argc, char** argv) {
   auto world = bench.tokens.pdb->Clone();
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery2, world->db());
   auto proposal = bench.MakeProposal();
-  pdb::MaterializedQueryEvaluator evaluator(
-      world.get(), proposal.get(), plan.get(),
+  pdb::SharedChainEvaluator evaluator(
+      world.get(), proposal.get(),
       {.steps_per_sample = 10 * k,
        .burn_in = DefaultBurnIn(n),
        .seed = DeriveSeed(master, 1)});
+  evaluator.AddQuery(plan.get());
   evaluator.Run(2000);
 
   // The answer: one tuple per observed count value, with probability —
   // summarized by the library's aggregate-distribution API.
-  const pdb::AggregateDistribution dist(evaluator.answer());
+  const pdb::AggregateDistribution dist(evaluator.answer(0));
   const auto bins = dist.Histogram(18);
   TablePrinter table({"count range", "probability", "bar"});
   double max_mass = 1e-12;

@@ -250,25 +250,17 @@ void BM_MhStepWorkingSet(benchmark::State& state) {
   // Working-set sweep for the cache-resident layout: 10k tokens keep the
   // hot block inside L2, 2M tokens (32 MB of 16-byte records alone, plus
   // weights and the label shadow) spill far past LLC, so the per-step cost
-  // becomes a pure memory-latency probe. range(1) arms the proposal's
-  // speculative site prefetch — cloned-RNG peeks that warm step t+1's
-  // record and shadow byte while step t scores — isolating how much of the
-  // large-working-set slope the pipelining recovers. Trajectories are
-  // bitwise-identical across both modes (pinned by
-  // PrefetchedProposeIsBitwiseInvisible).
+  // becomes a pure memory-latency probe.
   const size_t n = static_cast<size_t>(state.range(0));
-  const bool prefetch = state.range(1) != 0;
   NerBench bench(n, DeriveSeed(g_master, kStreamSweepCorpus));
-  auto proposal = bench.MakeProposal(2000, prefetch);
+  auto proposal = bench.MakeProposal();
   auto sampler = bench.tokens.pdb->MakeSampler(
       proposal.get(), DeriveSeed(g_master, kStreamSweepSampler));
   sampler->Run(100);
   for (auto _ : state) {
     sampler->Step();
   }
-  state.counters["prefetch"] = prefetch ? 1.0 : 0.0;
-  state.SetLabel(std::to_string(n) + " tuples, " +
-                 (prefetch ? "prefetch" : "no prefetch"));
+  state.SetLabel(std::to_string(n) + " tuples");
   bench.tokens.pdb->DiscardDeltas();
 }
 
@@ -277,10 +269,9 @@ void BM_GibbsRowKernel(benchmark::State& state) {
   // fills the conditional row and draws, then the accept loop rescores the
   // chosen candidate with a second LogScoreDelta. Mode 1 fuses the two in
   // Step(n)'s row kernel (candidate sampled straight off ConditionalRow,
-  // row[new] reused as the model ratio). Mode 2 adds the speculative site
-  // prefetch on top. All three walk the same bitwise trajectory
-  // (RowGibbsMatchesReferenceBitwise pins it); the rows price the fusion
-  // and the pipelining separately.
+  // row[new] reused as the model ratio). Both walk the same bitwise
+  // trajectory (RowGibbsMatchesReferenceBitwise pins it); the rows price
+  // the fusion.
   const size_t n = static_cast<size_t>(state.range(0));
   const int mode = static_cast<int>(state.range(1));
   constexpr size_t kBatch = 1024;
@@ -288,17 +279,14 @@ void BM_GibbsRowKernel(benchmark::State& state) {
   infer::GibbsProposal proposal(*bench.model);
   auto sampler = bench.tokens.pdb->MakeSampler(
       &proposal, DeriveSeed(g_master, kStreamRowGibbsSampler));
-  sampler->set_row_gibbs(mode >= 1);
-  sampler->set_prefetch(mode >= 2);
+  sampler->set_row_gibbs(mode == 1);
   sampler->Run(100);
   for (auto _ : state) {
     sampler->Step(kBatch);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBatch);
-  state.counters["row_gibbs"] = mode >= 1 ? 1.0 : 0.0;
-  state.counters["prefetch"] = mode >= 2 ? 1.0 : 0.0;
-  static const char* kModeNames[] = {"reference two-call", "row kernel",
-                                     "row kernel + prefetch"};
+  state.counters["row_gibbs"] = mode == 1 ? 1.0 : 0.0;
+  static const char* kModeNames[] = {"reference two-call", "row kernel"};
   state.SetLabel(std::to_string(n) + " tuples, " + kModeNames[mode]);
   bench.tokens.pdb->DiscardDeltas();
 }
@@ -339,16 +327,12 @@ BENCHMARK(BM_MhStepLinearChain)->Arg(10000)->Arg(200000)
 BENCHMARK(BM_GibbsStep)->Arg(10000)->Arg(50000)
     ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_MhStepWorkingSet)
-    ->Args({10000, 0})->Args({10000, 1})
-    ->Args({50000, 0})->Args({50000, 1})
-    ->Args({200000, 0})->Args({200000, 1})
-    ->Args({500000, 0})->Args({500000, 1})
-    ->Args({1000000, 0})->Args({1000000, 1})
-    ->Args({2000000, 0})->Args({2000000, 1})
+    ->Arg(10000)->Arg(50000)->Arg(200000)->Arg(500000)->Arg(1000000)
+    ->Arg(2000000)
     ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_GibbsRowKernel)
-    ->Args({10000, 0})->Args({10000, 1})->Args({10000, 2})
-    ->Args({200000, 0})->Args({200000, 1})->Args({200000, 2})
+    ->Args({10000, 0})->Args({10000, 1})
+    ->Args({200000, 0})->Args({200000, 1})
     ->Unit(benchmark::kNanosecond);
 
 int main(int argc, char** argv) {

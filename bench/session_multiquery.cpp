@@ -12,7 +12,7 @@
 
 #include "api/session.h"
 #include "bench_common.h"
-#include "pdb/query_evaluator.h"
+#include "pdb/shared_chain.h"
 
 using namespace fgpdb;
 using namespace fgpdb::bench;
@@ -31,13 +31,13 @@ StandaloneResult RunStandalone(const NerBench& bench, const char* query,
   auto world = bench.tokens.pdb->Clone();
   ra::PlanPtr plan = sql::PlanQuery(query, world->db());
   auto proposal = bench.MakeProposal();
-  pdb::MaterializedQueryEvaluator evaluator(world.get(), proposal.get(),
-                                            plan.get(), options);
+  pdb::SharedChainEvaluator evaluator(world.get(), proposal.get(), options);
+  evaluator.AddQuery(plan.get());
   Stopwatch timer;
   evaluator.Run(kSamples);
   StandaloneResult result;
   result.seconds = timer.ElapsedSeconds();
-  result.answer = evaluator.answer();
+  result.answer = evaluator.answer(0);
   return result;
 }
 

@@ -21,9 +21,8 @@
 // ResultHandle::Snapshot() reads marginals, sample counts, and
 // acceptance-rate progress per query mid-run.
 //
-// A single ExecutionPolicy replaces the previously divergent
-// MaterializedQueryEvaluator / EvaluateParallel call paths (both remain as
-// internals):
+// A single ExecutionPolicy selects how pdb::SharedChainEvaluator, the one
+// evaluation loop, is driven:
 //
 //   serial    — one shared chain, delta-maintained views (Alg. 1)
 //   parallel  — num_chains COW-snapshot chains, each maintaining ALL

@@ -155,24 +155,6 @@ size_t MetropolisHastings::StepBatchImpl(size_t n) {
       }
       ++num_proposed_;
       const factor::VarId var = proposal_->DrawGibbsSite(*world_, rng_);
-      if (prefetch_) {
-        // Warm step i+1's site while step i scores. The stream distance to
-        // the next site draw is 1 draw (the conditional's Categorical) or
-        // 2 (+ the acceptance draw, taken only when FP round-off pushes
-        // log_alpha below 0), so peek cloned rngs down BOTH branches; the
-        // mispredicted one costs a harmless extra prefetch and the real
-        // stream is never advanced.
-        Rng peek1 = rng_;
-        peek1.Next();
-        model_.PrefetchSite(*world_, proposal_->DrawGibbsSite(*world_, peek1));
-        Rng peek2 = rng_;
-        peek2.Next();
-        peek2.Next();
-        model_.PrefetchSite(*world_, proposal_->DrawGibbsSite(*world_, peek2));
-        // Site i's record was prefetched one step ago; now chase it one
-        // level deeper (weight row, partner span) before scoring.
-        model_.PrefetchSiteOperands(*world_, var);
-      }
       const size_t k = model_.domain_size(var);
       row_buf_.resize(k);
       const uint32_t old_value = world_->Get(var);

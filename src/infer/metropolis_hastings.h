@@ -130,14 +130,6 @@ class MetropolisHastings {
   void set_row_gibbs(bool on) { row_gibbs_ = on; }
   bool row_gibbs() const { return row_gibbs_; }
 
-  /// Software-prefetch pipelining in the fused Gibbs kernel (default off):
-  /// predicts step t+1's site by peeking CLONED rngs down both acceptance
-  /// branches (the real stream is never touched) and warms its hot lines
-  /// via Model::PrefetchSite while site t scores, then deep-warms site t's
-  /// operands. Purely a cache hint: trajectories are bitwise unchanged.
-  void set_prefetch(bool on) { prefetch_ = on; }
-  bool prefetch() const { return prefetch_; }
-
  private:
   const factor::Model& model_;
   factor::World* world_;
@@ -170,7 +162,6 @@ class MetropolisHastings {
   std::vector<double> prob_buf_;
   factor::Change fused_change_;
   bool row_gibbs_ = true;
-  bool prefetch_ = false;
   size_t mirror_batch_limit_ = 4096;
   uint64_t num_proposed_ = 0;
   uint64_t num_accepted_ = 0;

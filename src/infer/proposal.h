@@ -51,10 +51,8 @@ class Proposal {
   /// draw order and floating-point arithmetic bitwise.
   virtual bool IsSingleSiteGibbs() const { return false; }
 
-  /// The Gibbs kernel's site-selection draw. Must be a pure function of
-  /// (world, rng state) with no proposal-state side effects: the fused
-  /// kernel also invokes it on *cloned* rngs to predict the next site for
-  /// cache prefetching, and a side effect would fire once per prediction.
+  /// The Gibbs kernel's site-selection draw, i.e. the first draw Propose()
+  /// makes. The fused kernel calls it directly in place of Propose().
   virtual factor::VarId DrawGibbsSite(const factor::World& world, Rng& rng) {
     (void)world;
     (void)rng;

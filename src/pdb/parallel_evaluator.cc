@@ -123,14 +123,5 @@ MultiQueryAnswer EvaluateParallelMulti(
   return merged;
 }
 
-QueryAnswer EvaluateParallel(const ProbabilisticDatabase& pdb,
-                             const ra::PlanNode& plan,
-                             const ProposalFactory& make_proposal,
-                             const ParallelOptions& options) {
-  MultiQueryAnswer merged =
-      EvaluateParallelMulti(pdb, {&plan}, make_proposal, options);
-  return std::move(merged.answers[0]);
-}
-
 }  // namespace pdb
 }  // namespace fgpdb

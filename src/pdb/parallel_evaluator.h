@@ -22,9 +22,12 @@
 #include <memory>
 #include <vector>
 
+#include "infer/proposal.h"
 #include "pdb/convergence_stats.h"
+#include "pdb/probabilistic_database.h"
 #include "pdb/query_evaluator.h"
 #include "pdb/shard_plan.h"
+#include "ra/plan.h"
 
 namespace fgpdb {
 namespace pdb {
@@ -65,14 +68,6 @@ struct ParallelOptions {
 using ProposalFactory =
     std::function<std::unique_ptr<infer::Proposal>(ProbabilisticDatabase&)>;
 
-/// Snapshots `pdb` into `options.num_chains` copy-on-write worlds, runs each
-/// chain for `samples_per_chain` samples on a hardware-sized thread pool,
-/// and returns the merged (averaged) answer. `pdb` itself is never mutated.
-QueryAnswer EvaluateParallel(const ProbabilisticDatabase& pdb,
-                             const ra::PlanNode& plan,
-                             const ProposalFactory& make_proposal,
-                             const ParallelOptions& options);
-
 /// Result of a multi-query parallel evaluation: one merged answer per plan
 /// (index-aligned with the input), plus aggregate chain statistics for
 /// progress reporting.
@@ -94,15 +89,17 @@ struct MultiQueryAnswer {
   }
 };
 
-/// The multi-query form of EvaluateParallel — the §4.2 economy extended to
-/// §5.4: every chain maintains ALL the plans' views on its single sampler
-/// (one delta drain fanned out per interval), so K queries over B chains
-/// cost B sampling passes instead of K·B. Per-plan merged answers are
-/// bitwise-identical to K separate EvaluateParallel calls with the same
-/// options, because the chain trajectory never depends on the registered
-/// queries. `plans` must be non-empty; `seed_salt` offsets every chain's
-/// seed (distinct salts give independent chain batches, e.g. across
-/// successive Session::Run epochs).
+/// Snapshots `pdb` into `options.num_chains` copy-on-write worlds, runs each
+/// chain for `samples_per_chain` samples on a hardware-sized thread pool,
+/// and returns the merged (averaged) answers. `pdb` itself is never
+/// mutated. The §4.2 economy extended to §5.4: every chain maintains ALL
+/// the plans' views on its single sampler (one delta drain fanned out per
+/// interval), so K queries over B chains cost B sampling passes instead of
+/// K·B. Per-plan merged answers are bitwise-identical to K separate
+/// single-plan calls with the same options, because the chain trajectory
+/// never depends on the registered queries. `plans` must be non-empty;
+/// `seed_salt` offsets every chain's seed (distinct salts give independent
+/// chain batches, e.g. across successive Session::Run epochs).
 MultiQueryAnswer EvaluateParallelMulti(
     const ProbabilisticDatabase& pdb,
     const std::vector<const ra::PlanNode*>& plans,

@@ -1,30 +1,22 @@
-// Sampling-based query evaluation (paper §4).
+// Sampling-based query evaluation (paper §4): the marginal answer and the
+// evaluator options.
 //
-// Both evaluators estimate Pr[t ∈ Q(W)] (Eq. 4) by the sample average of
-// Eq. 5 with thinning k between collected samples:
-//
-//   NaiveQueryEvaluator        — Algorithm 3: run the full query over every
-//                                sampled world.
-//   MaterializedQueryEvaluator — Algorithm 1: run the full query once, then
-//                                maintain the answer through the Δ−/Δ+ sets
-//                                with the Eq. 6 rewrites (src/view). Several
-//                                orders of magnitude faster at scale (§5.3).
-//
-// Evaluators are stepwise (Initialize + DrawSample) so callers can record
-// loss-versus-time series — exactly how the paper's figures are measured.
+// Pr[t ∈ Q(W)] (Eq. 4) is estimated by the sample average of Eq. 5 with
+// thinning k between collected samples. The evaluator is
+// pdb::SharedChainEvaluator (shared_chain.h): Algorithm 1 (maintain the
+// answer through the Δ−/Δ+ sets with the Eq. 6 rewrites) or, with
+// materialized=false, Algorithm 3 (re-run the full query over every
+// sampled world), for one query or many on one chain.
 #ifndef FGPDB_PDB_QUERY_EVALUATOR_H_
 #define FGPDB_PDB_QUERY_EVALUATOR_H_
 
+#include <cstdint>
 #include <functional>
-#include <memory>
-#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "infer/metropolis_hastings.h"
-#include "pdb/probabilistic_database.h"
-#include "ra/plan.h"
-#include "view/incremental.h"
+#include "storage/tuple.h"
 
 namespace fgpdb {
 namespace pdb {
@@ -78,9 +70,9 @@ struct EvaluatorOptions {
   uint64_t seed = 42;
 
   /// §4.1's adaptive-k optimization: "Adaptively adjusting k to respond to
-  /// these various issues". When enabled, the materialized evaluator
+  /// these various issues". When enabled, a materialized evaluator
   /// adjusts k after each sample so that the measured routed-apply cost
-  /// (draining the delta accumulator + routing it through the view) stays
+  /// (draining the delta accumulator + routing it through the views) stays
   /// near `target_eval_fraction` of per-sample wall-clock: if the delta
   /// path is cheap relative to walking, k shrinks (collect counts more
   /// often — the ergodic theorems say every sample helps); if it is
@@ -92,87 +84,6 @@ struct EvaluatorOptions {
   double target_eval_fraction = 0.25;
   uint64_t min_steps_per_sample = 16;
   uint64_t max_steps_per_sample = 1 << 22;
-};
-
-class QueryEvaluator {
- public:
-  virtual ~QueryEvaluator() = default;
-
-  /// Prepares the evaluator (runs burn-in and any initial full query).
-  virtual void Initialize() = 0;
-
-  /// Advances the chain k steps and folds the new world's answer into the
-  /// marginal counts.
-  virtual void DrawSample() = 0;
-
-  /// Runs Initialize (if needed) plus `n` samples.
-  void Run(uint64_t n);
-
-  const QueryAnswer& answer() const { return answer_; }
-
-  /// Distinct tuples in the *current* world's answer (diagnostics).
-  virtual std::vector<Tuple> CurrentAnswerSet() const = 0;
-
-  bool initialized() const { return initialized_; }
-
- protected:
-  QueryAnswer answer_;
-  bool initialized_ = false;
-};
-
-/// Algorithm 3: full query per sample.
-class NaiveQueryEvaluator final : public QueryEvaluator {
- public:
-  NaiveQueryEvaluator(ProbabilisticDatabase* pdb, infer::Proposal* proposal,
-                      const ra::PlanNode* plan, EvaluatorOptions options = {});
-
-  void Initialize() override;
-  void DrawSample() override;
-  std::vector<Tuple> CurrentAnswerSet() const override;
-
-  infer::MetropolisHastings& sampler() { return *sampler_; }
-
- private:
-  ProbabilisticDatabase* pdb_;
-  const ra::PlanNode* plan_;
-  EvaluatorOptions options_;
-  std::unique_ptr<infer::MetropolisHastings> sampler_;
-};
-
-/// Algorithm 1: query once, then maintain through deltas.
-class MaterializedQueryEvaluator final : public QueryEvaluator {
- public:
-  MaterializedQueryEvaluator(ProbabilisticDatabase* pdb,
-                             infer::Proposal* proposal,
-                             const ra::PlanNode* plan,
-                             EvaluatorOptions options = {});
-
-  void Initialize() override;
-  void DrawSample() override;
-  std::vector<Tuple> CurrentAnswerSet() const override;
-
-  infer::MetropolisHastings& sampler() { return *sampler_; }
-
-  /// The maintained view (for inspection / tests).
-  const view::MaterializedView& materialized_view() const { return view_; }
-
-  /// Current thinning interval (changes over time under adaptive mode).
-  uint64_t steps_per_sample() const { return steps_per_sample_; }
-
-  /// Wall-clock seconds the last DrawSample spent on the routed delta path
-  /// (TakeDeltas + MaterializedView::Apply) — the cost adaptive thinning
-  /// steers by.
-  double last_apply_seconds() const { return last_apply_seconds_; }
-
- private:
-  ProbabilisticDatabase* pdb_;
-  EvaluatorOptions options_;
-  view::MaterializedView view_;
-  std::unique_ptr<infer::MetropolisHastings> sampler_;
-  uint64_t steps_per_sample_ = 0;
-  // Reused every interval: TakeDeltas recycles its table buckets.
-  view::DeltaSet delta_buf_;
-  double last_apply_seconds_ = 0.0;
 };
 
 }  // namespace pdb

@@ -234,9 +234,10 @@ void SharedChainEvaluator::DrawSample() {
   }
 
   if (options_.adaptive_thinning) {
-    // Same multiplicative controller as the single-query evaluator, fed by
-    // the fanned-out apply cost: halve k when the delta path is cheap
-    // relative to walking, double it when expensive.
+    // Steer the fanned-out apply cost's share of the sample toward the
+    // target: halve k when the delta path is cheap relative to walking,
+    // double it when expensive. Multiplicative updates keep the controller
+    // stable under noisy timers.
     const double total = walk_seconds + last_apply_seconds_;
     if (total > 0.0) {
       const double fraction = last_apply_seconds_ / total;

@@ -8,12 +8,13 @@
 // whose base tables were untouched this round is skipped outright via the
 // chain-level union subscription map.
 //
-// SharedChainEvaluator generalizes MaterializedQueryEvaluator /
-// NaiveQueryEvaluator (query_evaluator.h) from one plan to a set of plans;
-// with a single query its per-sample schedule — and therefore its answer —
-// is bitwise-identical to the single-query evaluators at a fixed seed. It
-// is the engine under both api::Session (the public front door) and the
-// parallel evaluator's per-chain bodies.
+// SharedChainEvaluator is the one evaluation loop: Algorithm 1 (views
+// maintained through Δ−/Δ+) or Algorithm 3 (materialized=false: the full
+// query re-run over every sampled world), for one registered plan or many.
+// Stepwise (Initialize + DrawSample), so callers can record
+// loss-versus-time series — how the paper's figures are measured. It is
+// the engine under api::Session (the public front door), serve::Server,
+// and the parallel evaluator's per-chain bodies.
 #ifndef FGPDB_PDB_SHARED_CHAIN_H_
 #define FGPDB_PDB_SHARED_CHAIN_H_
 
@@ -22,11 +23,15 @@
 #include <unordered_map>
 #include <vector>
 
+#include "infer/metropolis_hastings.h"
 #include "infer/shard_runner.h"
 #include "pdb/convergence_stats.h"
+#include "pdb/probabilistic_database.h"
 #include "pdb/query_evaluator.h"
 #include "pdb/shard_plan.h"
+#include "ra/plan.h"
 #include "util/logging.h"
+#include "view/incremental.h"
 
 namespace fgpdb {
 namespace pdb {

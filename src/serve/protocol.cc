@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
@@ -26,11 +27,17 @@ std::string UpperCopy(std::string s) {
   return s;
 }
 
+/// Accepts only [0-9]+ within range: strtoull alone would take a sign
+/// ("-1" wraps to 2^64-1) and saturate on overflow.
 bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+  if (s.empty() || !std::all_of(s.begin(), s.end(), [](unsigned char c) {
+        return std::isdigit(c) != 0;
+      })) {
+    return false;
+  }
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  if (errno == ERANGE) return false;
   *out = v;
   return true;
 }

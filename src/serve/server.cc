@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "util/logging.h"
@@ -55,6 +56,17 @@ Server::~Server() {
 
 Status Server::CreateTenant(TenantId* id, TenantOptions tenant_options) {
   FGPDB_CHECK(id != nullptr);
+  const api::ExecutionPolicy& policy = tenant_options.policy;
+  if (policy.mode == api::ExecutionPolicy::Mode::kUntil) {
+    // Session::Open CHECK-fails on these; a bad request must not take the
+    // server down. Comparisons are written so that NaN fails them.
+    if (!(policy.confidence > 0.0 && policy.confidence < 1.0)) {
+      return Status::InvalidArgument("UNTIL confidence must be in (0, 1)");
+    }
+    if (!(std::isfinite(policy.eps) && policy.eps > 0.0)) {
+      return Status::InvalidArgument("UNTIL eps must be finite and > 0");
+    }
+  }
   auto tenant = std::make_shared<Tenant>();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -189,14 +201,18 @@ Status Server::Submit(TenantId id, uint64_t samples) {
   if (tenant == nullptr) {
     return Status::NotFound("no tenant " + std::to_string(id));
   }
-  if (tenant->session->num_registered() == 0) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // stats.num_queries is kept under mu_; the session's own registry is
+  // appended to under chain_mu and cannot be read here.
+  if (tenant->stats.num_queries == 0) {
     return Status::InvalidArgument("tenant has no registered queries");
   }
-  std::lock_guard<std::mutex> lock(mu_);
   if (tenant->closing || shutting_down_) {
     return Status::Unavailable("tenant is closing");
   }
-  if (tenant->pending + samples > options_.max_outstanding_samples) {
+  // pending <= cap always holds, so the subtraction cannot wrap where the
+  // sum pending + samples could.
+  if (samples > options_.max_outstanding_samples - tenant->pending) {
     tenant->stats.rejected += 1;
     metrics_.submissions_rejected += 1;
     return Status::Overloaded(

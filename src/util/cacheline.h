@@ -2,8 +2,8 @@
 //
 // The step kernel's working set (ie/token_hot_block.h) is packed into flat
 // arrays whose base addresses must sit on cache-line boundaries, so that
-// "one record = one line" arithmetic holds and hardware/software prefetch
-// of a record never straddles two lines. std::vector's default allocator
+// "one record = one line" arithmetic holds and a hardware prefetch of a
+// record never straddles two lines. std::vector's default allocator
 // only guarantees alignof(std::max_align_t) (16 on x86-64); this allocator
 // upgrades that to the line size via C++17 aligned operator new.
 #ifndef FGPDB_UTIL_CACHELINE_H_
@@ -56,17 +56,6 @@ class CacheLineAllocator {
 /// A std::vector whose backing storage starts on a cache-line boundary.
 template <typename T>
 using CacheAlignedVector = std::vector<T, CacheLineAllocator<T>>;
-
-/// Best-effort non-binding hint that `addr` will be read soon. A wrong or
-/// null address is harmless (prefetch faults are suppressed by hardware),
-/// which is what makes speculative next-site prefetching safe.
-inline void PrefetchRead(const void* addr) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(addr, /*rw=*/0, /*locality=*/3);
-#else
-  (void)addr;
-#endif
-}
 
 }  // namespace fgpdb
 

@@ -340,8 +340,8 @@ TEST(CompiledScoringTest, BatchedStepMatchesSingleStepsBitwise) {
 // row[new] reused as the acceptance's model ratio — must replay the
 // reference two-call path (GibbsProposal::Propose + LogScoreDelta) exactly:
 // same accepted count, same applied stream, same final world, bitwise,
-// over ≥1k steps. Prefetch pipelining must change nothing either. Runs on
-// shadow-carrying worlds so the narrow label lane is exercised end to end.
+// over ≥1k steps. Runs on shadow-carrying worlds so the narrow label lane
+// is exercised end to end.
 TEST(CompiledScoringTest, RowGibbsMatchesReferenceBitwise) {
   CompiledVsNaive fixture(800, 47);
   const size_t kSteps = 4000;
@@ -367,15 +367,12 @@ TEST(CompiledScoringTest, RowGibbsMatchesReferenceBitwise) {
   Runner fused(fixture, kSeed);
   ASSERT_TRUE(fused.sampler.row_gibbs());  // The default.
   ASSERT_TRUE(fused.world.has_label_shadow());
-  Runner fused_prefetch(fixture, kSeed);
-  fused_prefetch.sampler.set_prefetch(true);
   Runner reference(fixture, kSeed);
   reference.sampler.set_row_gibbs(false);
   Runner single(fixture, kSeed);
   single.sampler.set_row_gibbs(false);
 
   const size_t accepted_fused = fused.sampler.Step(kSteps);
-  const size_t accepted_fused_prefetch = fused_prefetch.sampler.Step(kSteps);
   const size_t accepted_reference = reference.sampler.Step(kSteps);
   size_t accepted_single = 0;
   for (size_t i = 0; i < kSteps; ++i) {
@@ -383,25 +380,20 @@ TEST(CompiledScoringTest, RowGibbsMatchesReferenceBitwise) {
   }
 
   EXPECT_EQ(accepted_fused, accepted_reference);
-  EXPECT_EQ(accepted_fused, accepted_fused_prefetch);
   EXPECT_EQ(accepted_fused, accepted_single);
   ASSERT_EQ(fused.stream.size(), reference.stream.size());
-  ASSERT_EQ(fused.stream.size(), fused_prefetch.stream.size());
   ASSERT_EQ(fused.stream.size(), single.stream.size());
   EXPECT_GT(fused.stream.size(), 0u);
   for (size_t i = 0; i < fused.stream.size(); ++i) {
     ASSERT_EQ(fused.stream[i].var, reference.stream[i].var) << "record " << i;
     ASSERT_EQ(fused.stream[i].old_value, reference.stream[i].old_value);
     ASSERT_EQ(fused.stream[i].new_value, reference.stream[i].new_value);
-    ASSERT_EQ(fused.stream[i].var, fused_prefetch.stream[i].var);
-    ASSERT_EQ(fused.stream[i].new_value, fused_prefetch.stream[i].new_value);
     ASSERT_EQ(fused.stream[i].var, single.stream[i].var);
     ASSERT_EQ(fused.stream[i].new_value, single.stream[i].new_value);
   }
   for (size_t v = 0; v < fused.world.size(); ++v) {
     const auto var = static_cast<factor::VarId>(v);
     ASSERT_EQ(fused.world.Get(var), reference.world.Get(var)) << "var " << v;
-    ASSERT_EQ(fused.world.Get(var), fused_prefetch.world.Get(var));
     ASSERT_EQ(fused.world.Get(var), single.world.Get(var));
   }
   EXPECT_TRUE(fused.world.LabelShadowConsistent());
@@ -482,34 +474,6 @@ TEST(CompiledScoringTest, HotBlockLayoutsWalkIdenticalTrajectories) {
       ASSERT_EQ(span_a[i], span_b[i]);
     }
   }
-}
-
-// Prefetched propose (PR 10): DocumentBatchProposal with prefetch hints
-// enabled must draw the identical rng stream and produce the identical
-// trajectory — the hints peek only CLONED rngs. Covers the §5.1 kernel
-// path the step benches measure.
-TEST(CompiledScoringTest, PrefetchedProposeIsBitwiseInvisible) {
-  CompiledVsNaive fixture(700, 37);
-  const uint64_t kSeed = 456;
-
-  factor::World world_a = fixture.tokens.pdb->world();
-  factor::World world_b = fixture.tokens.pdb->world();
-  DocumentBatchProposal proposal_a(&fixture.tokens.docs,
-                                   {.proposals_per_batch = 150});
-  DocumentBatchProposal proposal_b(&fixture.tokens.docs,
-                                   {.proposals_per_batch = 150});
-  proposal_b.EnablePrefetch(fixture.compiled.get());
-  infer::MetropolisHastings chain_a(*fixture.compiled, &world_a, &proposal_a,
-                                    kSeed);
-  infer::MetropolisHastings chain_b(*fixture.compiled, &world_b, &proposal_b,
-                                    kSeed);
-  EXPECT_EQ(chain_a.Step(6000), chain_b.Step(6000));
-  EXPECT_EQ(chain_a.rng().Next(), chain_b.rng().Next());  // Streams aligned.
-  for (size_t v = 0; v < world_a.size(); ++v) {
-    const auto var = static_cast<factor::VarId>(v);
-    ASSERT_EQ(world_a.Get(var), world_b.Get(var)) << "var " << v;
-  }
-  EXPECT_TRUE(world_b.LabelShadowConsistent());
 }
 
 // End-to-end across the mirror boundary: Queries 1–4 evaluated on one

@@ -11,7 +11,7 @@
 #include "ie/queries.h"
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
-#include "pdb/query_evaluator.h"
+#include "pdb/shared_chain.h"
 #include "sql/binder.h"
 
 namespace fgpdb {
@@ -57,13 +57,15 @@ TEST_P(EquivalenceSweep, NaiveEqualsMaterializedOnIdenticalChains) {
       .steps_per_sample = 400,
       .burn_in = 800,
       .seed = 1000 + static_cast<uint64_t>(seed)};
-  pdb::NaiveQueryEvaluator naive(world_a.get(), proposal_a.get(),
-                                 plan_a.get(), options);
-  pdb::MaterializedQueryEvaluator materialized(world_b.get(), proposal_b.get(),
-                                               plan_b.get(), options);
+  pdb::SharedChainEvaluator naive(world_a.get(), proposal_a.get(), options,
+                                  /*materialized=*/false);
+  pdb::SharedChainEvaluator materialized(world_b.get(), proposal_b.get(),
+                                         options);
+  naive.AddQuery(plan_a.get());
+  materialized.AddQuery(plan_b.get());
   naive.Run(25);
   materialized.Run(25);
-  EXPECT_EQ(naive.answer().SquaredError(materialized.answer()), 0.0)
+  EXPECT_EQ(naive.answer(0).SquaredError(materialized.answer(0)), 0.0)
       << "query " << query << " seed " << seed << " bio=" << bio_kernel;
 }
 

@@ -17,6 +17,7 @@
 #include "infer/diagnostics.h"
 #include "infer/metropolis_hastings.h"
 #include "pdb/aggregate_distribution.h"
+#include "pdb/shared_chain.h"
 #include "storage/csv_io.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -275,13 +276,19 @@ TEST(TopKTest, RanksByProbability) {
 // --- Adaptive thinning (paper §4.1) ----------------------------------------------
 
 TEST(AdaptiveThinningTest, KAdjustsTowardTargetEvalFraction) {
+  // The K-view controller: Queries 1-4 on one chain, steered by the apply
+  // cost summed over the fanned-out views.
   const ie::SyntheticCorpus corpus = ie::GenerateCorpus(
       {.num_tokens = 5000, .tokens_per_doc = 100, .seed = 121});
   ie::TokenPdb tokens = ie::BuildTokenPdb(corpus);
   ie::SkipChainNerModel model(tokens);
   model.InitializeFromCorpusStatistics(tokens);
   tokens.pdb->set_model(&model);
-  ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, tokens.pdb->db());
+  std::vector<ra::PlanPtr> plans;
+  for (const char* query :
+       {ie::kQuery1, ie::kQuery2, ie::kQuery3, ie::kQuery4}) {
+    plans.push_back(sql::PlanQuery(query, tokens.pdb->db()));
+  }
   ie::DocumentBatchProposal proposal(&tokens.docs);
   pdb::EvaluatorOptions options;
   // Start with an absurdly large k: walking dominates, so the controller
@@ -289,12 +296,15 @@ TEST(AdaptiveThinningTest, KAdjustsTowardTargetEvalFraction) {
   options.steps_per_sample = 1 << 20;
   options.adaptive_thinning = true;
   options.target_eval_fraction = 0.25;
-  pdb::MaterializedQueryEvaluator evaluator(tokens.pdb.get(), &proposal,
-                                            plan.get(), options);
+  pdb::SharedChainEvaluator evaluator(tokens.pdb.get(), &proposal, options);
+  for (const ra::PlanPtr& plan : plans) evaluator.AddQuery(plan.get());
   evaluator.Run(25);
   EXPECT_LT(evaluator.steps_per_sample(), options.steps_per_sample / 8)
       << "adaptive controller should have shrunk k";
   EXPECT_GE(evaluator.steps_per_sample(), options.min_steps_per_sample);
+  for (size_t q = 0; q < plans.size(); ++q) {
+    EXPECT_EQ(evaluator.answer(q).num_samples(), 25u) << "query " << q + 1;
+  }
 }
 
 TEST(AdaptiveThinningTest, DisabledKeepsKFixed) {
@@ -306,8 +316,9 @@ TEST(AdaptiveThinningTest, DisabledKeepsKFixed) {
   tokens.pdb->set_model(&model);
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, tokens.pdb->db());
   ie::DocumentBatchProposal proposal(&tokens.docs);
-  pdb::MaterializedQueryEvaluator evaluator(
-      tokens.pdb.get(), &proposal, plan.get(), {.steps_per_sample = 500});
+  pdb::SharedChainEvaluator evaluator(tokens.pdb.get(), &proposal,
+                                      {.steps_per_sample = 500});
+  evaluator.AddQuery(plan.get());
   evaluator.Run(10);
   EXPECT_EQ(evaluator.steps_per_sample(), 500u);
 }

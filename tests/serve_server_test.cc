@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -290,6 +293,71 @@ TEST(ServeServerTest, SubmitValidation) {
   api::QueryProgress progress;
   EXPECT_EQ(server.Snapshot(id, 0, &progress).code,
             serve::StatusCode::kNotFound);
+
+  // A request past the cap is Overloaded even when pending + samples would
+  // wrap around 2^64.
+  serve::QueryId query = 0;
+  ASSERT_TRUE(server.RegisterQuery(id, ie::kQuery1, &query).ok());
+  ASSERT_TRUE(server.Submit(id, 100).ok());
+  EXPECT_EQ(server.Submit(id, std::numeric_limits<uint64_t>::max()).code,
+            serve::StatusCode::kOverloaded);
+  server.Drain();
+  EXPECT_EQ(server.metrics().samples_drawn, 100u);
+
+  // Until policies outside confidence in (0, 1) or finite eps > 0 are
+  // refused before a tenant id is spent.
+  serve::TenantOptions bad_confidence;
+  bad_confidence.policy = api::ExecutionPolicy::Until(2.0, 0.1, 1);
+  serve::TenantOptions bad_eps;
+  bad_eps.policy = api::ExecutionPolicy::Until(0.95, std::nan(""), 1);
+  serve::TenantId other = 0;
+  EXPECT_EQ(server.CreateTenant(&other, bad_confidence).code,
+            serve::StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.CreateTenant(&other, bad_eps).code,
+            serve::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(server.CreateTenant(&other).ok());
+  EXPECT_EQ(other, id + 1);
+}
+
+// Submit's has-queries check and RegisterQuery's append race from two
+// threads (this test is in CI's TSan leg): every Submit either admits, is
+// refused for having no query yet, or is Overloaded, and nothing is lost.
+TEST(ServeServerTest, SubmitRacesRegisterQuery) {
+  NerFixture fixture(300);
+  serve::ServerOptions options = fixture.MakeServerOptions();
+  options.quantum_samples = 4;
+  serve::Server server(options);
+  serve::TenantId id = 0;
+  ASSERT_TRUE(server.CreateTenant(&id).ok());
+
+  std::atomic<int> unexpected{0};
+  std::thread registrar([&] {
+    for (size_t q = 0; q < 4; ++q) {
+      serve::QueryId query = 0;
+      if (!server.RegisterQuery(id, QueryPool(q), &query).ok()) {
+        unexpected.fetch_add(1);
+      }
+    }
+  });
+  std::thread submitter([&] {
+    for (int i = 0; i < 64; ++i) {
+      const serve::Status status = server.Submit(id, 4);
+      if (!status.ok() && status.code != serve::StatusCode::kInvalidArgument &&
+          status.code != serve::StatusCode::kOverloaded) {
+        unexpected.fetch_add(1);
+      }
+    }
+  });
+  registrar.join();
+  submitter.join();
+  server.Drain();
+  EXPECT_EQ(unexpected.load(), 0);
+
+  serve::TenantStats stats;
+  ASSERT_TRUE(server.GetTenantStats(id, &stats).ok());
+  EXPECT_EQ(stats.num_queries, 4u);
+  EXPECT_EQ(stats.pending, 0u);
+  EXPECT_EQ(stats.samples_drawn + stats.yielded, stats.submitted);
 }
 
 // A converged until-policy tenant yields its remaining budget: the
@@ -419,6 +487,25 @@ TEST(ServeProtocolTest, ErrorsAndBlankLines) {
   EXPECT_EQ(fx.Send("TENANT NEW WARP"),
             "ERR INVALID_ARGUMENT unknown TENANT NEW argument 'WARP'\n");
   EXPECT_EQ(fx.Send("SNAPSHOT 1 0").rfind("ERR NOT_FOUND", 0), 0u);
+
+  // Numerals are [0-9]+ within uint64: no sign, no saturation.
+  for (const char* line :
+       {"RUN 1 -1", "RUN 1 +5", "RUN 1 18446744073709551616", "RUN 1 0x10"}) {
+    EXPECT_EQ(fx.Send(line), "ERR INVALID_ARGUMENT RUN <tenant> <samples>\n")
+        << line;
+  }
+  EXPECT_EQ(fx.Send("TENANT NEW UNTIL 2 0.1"),
+            "ERR INVALID_ARGUMENT UNTIL confidence must be in (0, 1)\n");
+  EXPECT_EQ(fx.Send("TENANT NEW UNTIL 0.95 nan"),
+            "ERR INVALID_ARGUMENT UNTIL eps must be finite and > 0\n");
+  // The server is still up, and the refused tenants spent no id.
+  EXPECT_EQ(fx.Send("TENANT NEW SERIAL"), "OK tenant=1\n");
+  EXPECT_EQ(fx.Send(std::string("QUERY 1 ") + ie::kQuery1), "OK query=0\n");
+  EXPECT_EQ(fx.Send("RUN 1 100"), "OK admitted=100\n");
+  const std::string wrapped = fx.Send("RUN 1 18446744073709551615");
+  EXPECT_EQ(wrapped.rfind("ERR OVERLOADED ", 0), 0u) << wrapped;
+  EXPECT_EQ(fx.Send("DRAIN"), "OK drained\n");
+  EXPECT_NE(fx.Send("STATS").find("samples_drawn=100\n"), std::string::npos);
 }
 
 TEST(ServeProtocolTest, UntilTenantSpeaksConvergence) {

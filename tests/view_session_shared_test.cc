@@ -12,7 +12,7 @@
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
 #include "pdb/parallel_evaluator.h"
-#include "pdb/query_evaluator.h"
+#include "pdb/shared_chain.h"
 #include "sql/binder.h"
 
 namespace fgpdb {
@@ -82,10 +82,10 @@ TEST(SessionSharedChainTest, QueryBundleMatchesStandaloneRunsBitwise) {
     ra::PlanPtr plan = sql::PlanQuery(query, world->db());
     ie::DocumentBatchProposal proposal(&fixture.tokens.docs,
                                        {.proposals_per_batch = 300});
-    pdb::MaterializedQueryEvaluator standalone(world.get(), &proposal,
-                                               plan.get(), options);
+    pdb::SharedChainEvaluator standalone(world.get(), &proposal, options);
+    standalone.AddQuery(plan.get());
     standalone.Run(30);
-    ExpectBitwiseEqual(handles[q].Snapshot().answer, standalone.answer(),
+    ExpectBitwiseEqual(handles[q].Snapshot().answer, standalone.answer(0),
                        query);
   }
 }
@@ -113,9 +113,10 @@ TEST(SessionSharedChainTest, ParallelBundleMatchesPerQueryParallelRuns) {
   for (size_t q = 0; q < PaperQueries().size(); ++q) {
     const char* query = PaperQueries()[q];
     ra::PlanPtr plan = sql::PlanQuery(query, fixture.tokens.pdb->db());
-    const pdb::QueryAnswer standalone = pdb::EvaluateParallel(
-        *fixture.tokens.pdb, *plan, fixture.MakeFactory(), parallel);
-    ExpectBitwiseEqual(handles[q].Snapshot().answer, standalone, query);
+    const pdb::MultiQueryAnswer standalone = pdb::EvaluateParallelMulti(
+        *fixture.tokens.pdb, {plan.get()}, fixture.MakeFactory(), parallel);
+    ExpectBitwiseEqual(handles[q].Snapshot().answer, standalone.answers[0],
+                       query);
   }
 }
 
@@ -141,11 +142,13 @@ TEST(SessionSharedChainTest, MidRunRegistrationMatchesLateStartedChain) {
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery3, world->db());
   ie::DocumentBatchProposal proposal(&fixture.tokens.docs,
                                      {.proposals_per_batch = 300});
-  pdb::MaterializedQueryEvaluator standalone(
-      world.get(), &proposal, plan.get(),
+  pdb::SharedChainEvaluator standalone(
+      world.get(), &proposal,
       {.steps_per_sample = 250, .burn_in = 500 + 10 * 250, .seed = 9});
+  standalone.AddQuery(plan.get());
   standalone.Run(20);
-  ExpectBitwiseEqual(late.Snapshot().answer, standalone.answer(), ie::kQuery3);
+  ExpectBitwiseEqual(late.Snapshot().answer, standalone.answer(0),
+                     ie::kQuery3);
 }
 
 TEST(SessionSharedChainTest, SharedChainRoutesOnlySubscribedSubtrees) {
