@@ -26,6 +26,8 @@ enum SeedStream : uint64_t {
   kStreamStepSampler,
   kStreamLinearCorpus,
   kStreamLinearSampler,
+  // Retired with BM_MhStepPhases; kept so the streams after them keep
+  // their seeds.
   kStreamPhasesCorpus,
   kStreamPhasesSampler,
   kStreamScoreCorpus,
@@ -94,71 +96,6 @@ void BM_MhStepLinearChain(benchmark::State& state) {
     sampler->Step();
   }
   tokens.pdb->DiscardDeltas();
-}
-
-/// Converts a phase accumulator into per-step / fraction counters, guarded
-/// against empty accumulators (zero steps or a clock too coarse to see any
-/// elapsed time must report zeros, not NaNs).
-void ReportPhases(benchmark::State& state,
-                  const infer::StepPhaseTotals& totals) {
-  const double steps = static_cast<double>(totals.steps);
-  const double total = totals.TotalSeconds();
-  const auto per_step = [&](double seconds) {
-    return steps > 0.0 ? seconds * 1e9 / steps : 0.0;
-  };
-  const auto fraction = [&](double seconds) {
-    return total > 0.0 ? seconds / total : 0.0;
-  };
-  state.counters["propose_ns"] = per_step(totals.propose_seconds);
-  state.counters["score_ns"] = per_step(totals.score_seconds);
-  state.counters["apply_ns"] = per_step(totals.apply_seconds);
-  state.counters["mirror_ns"] = per_step(totals.mirror_seconds);
-  state.counters["step_ns"] = per_step(total);
-  state.counters["propose_frac"] = fraction(totals.propose_seconds);
-  state.counters["score_frac"] = fraction(totals.score_seconds);
-  state.counters["apply_frac"] = fraction(totals.apply_seconds);
-  state.counters["mirror_frac"] = fraction(totals.mirror_seconds);
-  state.counters["mirror_flushes"] = static_cast<double>(totals.mirror_flushes);
-  state.counters["steps_per_flush"] =
-      totals.mirror_flushes > 0
-          ? steps / static_cast<double>(totals.mirror_flushes)
-          : 0.0;
-}
-
-void BM_MhStepPhases(benchmark::State& state) {
-  // The hot-path breakdown: attaches the sampler's phase accumulator and
-  // reports how a step splits into propose / score / apply / mirror —
-  // the profile that picks which slice to attack next (ROADMAP). range(1)
-  // selects the kernel: 0 = unbatched Step() (per-step mirror crossings),
-  // B > 0 = batched Step(B) — side-by-side rows showing what amortizing
-  // the mirror boundary buys.
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t batch = static_cast<size_t>(state.range(1));
-  NerBench bench(n, DeriveSeed(g_master, kStreamPhasesCorpus));
-  auto proposal = bench.MakeProposal();
-  auto sampler = bench.tokens.pdb->MakeSampler(
-      proposal.get(), DeriveSeed(g_master, kStreamPhasesSampler));
-  sampler->Run(100);
-  infer::StepPhaseTotals totals;
-  sampler->set_phase_totals(&totals);
-  if (batch == 0) {
-    for (auto _ : state) {
-      sampler->Step();
-    }
-  } else {
-    for (auto _ : state) {
-      sampler->Step(batch);
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(batch));
-  }
-  sampler->set_phase_totals(nullptr);
-  bench.tokens.pdb->DiscardDeltas();
-  ReportPhases(state, totals);
-  state.SetLabel(std::to_string(n) + " tuples, " +
-                 (batch == 0 ? std::string("unbatched")
-                             : "Step(" + std::to_string(batch) + ")") +
-                 ", phase split");
 }
 
 // Fixture for the LogScoreDelta micros: a mixed (non-all-'O') world and a
@@ -265,29 +202,22 @@ void BM_MhStepWorkingSet(benchmark::State& state) {
 }
 
 void BM_GibbsRowKernel(benchmark::State& state) {
-  // Row-driven Gibbs ablation. Mode 0 is the two-call reference: Propose
-  // fills the conditional row and draws, then the accept loop rescores the
-  // chosen candidate with a second LogScoreDelta. Mode 1 fuses the two in
-  // Step(n)'s row kernel (candidate sampled straight off ConditionalRow,
-  // row[new] reused as the model ratio). Both walk the same bitwise
-  // trajectory (RowGibbsMatchesReferenceBitwise pins it); the rows price
-  // the fusion.
+  // Row-driven Gibbs: Step(n)'s fused loop samples the candidate straight
+  // off ConditionalRow and reuses row[new] as the model ratio. The two-call
+  // path it replays bitwise lives in the tests
+  // (RowGibbsMatchesReferenceBitwise).
   const size_t n = static_cast<size_t>(state.range(0));
-  const int mode = static_cast<int>(state.range(1));
   constexpr size_t kBatch = 1024;
   NerBench bench(n, DeriveSeed(g_master, kStreamRowGibbsCorpus));
   infer::GibbsProposal proposal(*bench.model);
   auto sampler = bench.tokens.pdb->MakeSampler(
       &proposal, DeriveSeed(g_master, kStreamRowGibbsSampler));
-  sampler->set_row_gibbs(mode == 1);
   sampler->Run(100);
   for (auto _ : state) {
     sampler->Step(kBatch);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBatch);
-  state.counters["row_gibbs"] = mode == 1 ? 1.0 : 0.0;
-  static const char* kModeNames[] = {"reference two-call", "row kernel"};
-  state.SetLabel(std::to_string(n) + " tuples, " + kModeNames[mode]);
+  state.SetLabel(std::to_string(n) + " tuples, row kernel");
   bench.tokens.pdb->DiscardDeltas();
 }
 
@@ -311,11 +241,6 @@ BENCHMARK(BM_MhStep)->Arg(10000)->Arg(50000)->Arg(200000)
     ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_MhStepBatched)->Arg(10000)->Arg(50000)->Arg(200000)
     ->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_MhStepPhases)
-    ->Args({10000, 0})->Args({10000, 1024})
-    ->Args({100000, 0})->Args({100000, 1024})
-    ->Args({200000, 0})->Args({200000, 1024})
-    ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_LogScoreDelta)->Arg(10000)->Arg(200000)
     ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_LogScoreDeltaNaive)->Arg(10000)->Arg(200000)
@@ -330,9 +255,7 @@ BENCHMARK(BM_MhStepWorkingSet)
     ->Arg(10000)->Arg(50000)->Arg(200000)->Arg(500000)->Arg(1000000)
     ->Arg(2000000)
     ->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_GibbsRowKernel)
-    ->Args({10000, 0})->Args({10000, 1})
-    ->Args({200000, 0})->Args({200000, 1})
+BENCHMARK(BM_GibbsRowKernel)->Arg(10000)->Arg(200000)
     ->Unit(benchmark::kNanosecond);
 
 int main(int argc, char** argv) {

@@ -182,12 +182,13 @@ void Session::RunUntilMultiChain(uint64_t max_samples) {
   // chain ever folded carries the same sample count and the cross-chain SE
   // stays well-defined. The ladder position persists across Run() calls.
   const ExecutionPolicy& policy = options_.policy;
+  const uint64_t before = CurrentMultiSamples();
   while (true) {
     const uint64_t total =
         RunParallelRound(policy.samples_per_round, until_chains_,
                          /*track_stats=*/true);
     if (converged()) break;
-    if (total >= max_samples) break;
+    if (total - before >= max_samples) break;
     if (until_escalations_ < policy.max_escalations) {
       // Under results_mu_: concurrent Snapshot() readers report the ladder
       // position (QueryProgress::chains).
@@ -209,8 +210,8 @@ void Session::Run(uint64_t samples) {
     case ExecutionPolicy::Mode::kUntil:
       if (chain_ != nullptr) {
         // Single-chain variant: batched-means errors, converged views
-        // freeze and leave the fan-out.
-        chain_->RunUntilConverged(samples);
+        // freeze and leave the fan-out, and the chain stops once all have.
+        chain_->Run(samples);
       } else {
         RunUntilMultiChain(samples);
       }

@@ -173,7 +173,7 @@ struct SessionOptions {
   /// are copied into the session, so the plan value need not outlive it.
   pdb::ShardPlan shard_plan = {};
 
-  /// Chain schedule: thinning k, burn-in, seed, adaptive thinning.
+  /// Chain schedule: thinning k (fixed), burn-in, seed.
   pdb::EvaluatorOptions evaluator = {};
 
   ExecutionPolicy policy = {};
@@ -216,7 +216,7 @@ struct QueryProgress {
   pdb::QueryAnswer answer;
   /// Samples folded into `answer` so far (across all chains).
   uint64_t samples = 0;
-  /// Current thinning interval (serial/naive; adaptive mode moves it).
+  /// The thinning interval k (fixed for the session).
   uint64_t steps_per_sample = 0;
   /// Acceptance rate of the chain(s) feeding this query.
   double acceptance_rate = 0.0;
@@ -288,8 +288,9 @@ class Session {
   /// Under the until policy, `samples` is a BUDGET, not a target: sampling
   /// stops as soon as every registered query's marginals are within ±eps at
   /// the configured confidence, and a multi-chain round in flight finishes
-  /// before the budget is re-checked (so the total may overshoot by up to
-  /// one round). Escalation state persists across Run() calls.
+  /// before the budget is re-checked against the samples drawn by this call
+  /// (so the call may overshoot by up to one round). Escalation state
+  /// persists across Run() calls.
   void Run(uint64_t samples);
 
   /// Scheduler entry point (the serve layer's quantum): advances the

@@ -1,11 +1,10 @@
 #include "infer/metropolis_hastings.h"
 
+#include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "util/logging.h"
 #include "util/math_util.h"
-#include "util/stopwatch.h"
 
 namespace fgpdb {
 namespace infer {
@@ -22,87 +21,7 @@ MetropolisHastings::MetropolisHastings(const factor::Model& model,
   FGPDB_CHECK(proposal_ != nullptr);
 }
 
-bool MetropolisHastings::Step() {
-  // Phase timing is opt-in (set_phase_totals); the detached path is the
-  // untimed template instantiation — no clock reads at all.
-  return phase_totals_ != nullptr ? StepImpl<true>() : StepImpl<false>();
-}
-
 size_t MetropolisHastings::Step(size_t n) {
-  return phase_totals_ != nullptr ? StepBatchImpl<true>(n)
-                                  : StepBatchImpl<false>(n);
-}
-
-template <bool kTimed>
-bool MetropolisHastings::StepImpl() {
-  std::optional<Stopwatch> phase_timer;
-  if constexpr (kTimed) {
-    phase_timer.emplace();
-    ++phase_totals_->steps;
-  }
-
-  ++num_proposed_;
-  double log_proposal_ratio = 0.0;
-  proposal_->Propose(*world_, rng_, &change_buf_, &log_proposal_ratio);
-  const factor::Change& change = change_buf_;
-  if constexpr (kTimed) {
-    phase_totals_->propose_seconds += phase_timer->ElapsedSeconds();
-    phase_timer->Reset();
-  }
-  if (change.empty()) {
-    // Self-transition: counted as accepted (the chain stays put).
-    ++num_accepted_;
-    return true;
-  }
-  const double log_model_ratio =
-      model_.LogScoreDelta(*world_, change, score_scratch_.get());
-  const double log_alpha = log_model_ratio + log_proposal_ratio;
-  bool accept = log_alpha >= 0.0;
-  if (!accept) accept = rng_.Uniform() < std::exp(log_alpha);
-  if constexpr (kTimed) {
-    phase_totals_->score_seconds += phase_timer->ElapsedSeconds();
-    phase_timer->Reset();
-  }
-  if (!accept) return false;
-
-  applied_scratch_.clear();
-  world_->Apply(change, &applied_scratch_);
-  // Drop no-op assignments (value unchanged) before notifying listeners so
-  // delta buffers only see real modifications.
-  auto& applied = applied_scratch_;
-  applied.erase(std::remove_if(applied.begin(), applied.end(),
-                               [](const factor::AppliedAssignment& a) {
-                                 return a.old_value == a.new_value;
-                               }),
-                applied.end());
-  ++num_accepted_;
-  if constexpr (kTimed) {
-    phase_totals_->apply_seconds += phase_timer->ElapsedSeconds();
-    phase_timer->Reset();
-  }
-  if (!applied.empty()) {
-    for (const auto& listener : listeners_) listener(applied);
-  }
-#ifndef NDEBUG
-  // Hot-block discipline: the shadow must agree with the world on every
-  // variable this step wrote. Only own writes are examined — a full-world
-  // scan would race with sibling shard chains advancing other shards.
-  if (const uint8_t* shadow = world_->label_shadow()) {
-    for (const auto& a : applied) {
-      FGPDB_CHECK_EQ(static_cast<uint32_t>(shadow[a.var]), world_->Get(a.var))
-          << "label shadow diverged from world values";
-    }
-  }
-#endif
-  if constexpr (kTimed) {
-    phase_totals_->mirror_seconds += phase_timer->ElapsedSeconds();
-    ++phase_totals_->mirror_flushes;
-  }
-  return true;
-}
-
-template <bool kTimed>
-size_t MetropolisHastings::StepBatchImpl(size_t n) {
   // Listener notifications carry concatenated per-step applied records, so
   // a flush is exactly what the same steps would have reported one at a
   // time: same assignments, same order, same coalesced deltas. Without
@@ -111,12 +30,8 @@ size_t MetropolisHastings::StepBatchImpl(size_t n) {
   batch_applied_.clear();
   size_t accepted = 0;
 
-  std::optional<Stopwatch> phase_timer;
-  if constexpr (kTimed) phase_timer.emplace();
-
   auto flush = [&]() {
     if (batch_applied_.empty()) return;
-    if constexpr (kTimed) phase_timer->Reset();
     for (const auto& listener : listeners_) listener(batch_applied_);
 #ifndef NDEBUG
     // Hot-block discipline: shadow/world agreement on every variable this
@@ -131,10 +46,6 @@ size_t MetropolisHastings::StepBatchImpl(size_t n) {
     }
 #endif
     batch_applied_.clear();
-    if constexpr (kTimed) {
-      phase_totals_->mirror_seconds += phase_timer->ElapsedSeconds();
-      ++phase_totals_->mirror_flushes;
-    }
   };
 
   // Row-driven Gibbs: for a proposal that IS the single-site Gibbs kernel,
@@ -144,24 +55,16 @@ size_t MetropolisHastings::StepBatchImpl(size_t n) {
   // lane is bitwise the per-candidate LogScoreDelta, which is exactly what
   // the two-call reference path would recompute). Draw order and FP
   // arithmetic replicate GibbsProposal::Propose + the generic loop below
-  // term-for-term, so the trajectory is bitwise-identical to row_gibbs_
-  // == false; only the second scoring pass disappears.
-  if (row_gibbs_ && proposal_->IsSingleSiteGibbs() &&
-      model_.num_variables() > 0) {
+  // term-for-term, so the trajectory is bitwise-identical to running the
+  // same kernel through the generic loop; only the second scoring pass
+  // disappears.
+  if (proposal_->IsSingleSiteGibbs() && model_.num_variables() > 0) {
     for (size_t i = 0; i < n; ++i) {
-      if constexpr (kTimed) {
-        phase_timer->Reset();
-        ++phase_totals_->steps;
-      }
       ++num_proposed_;
       const factor::VarId var = proposal_->DrawGibbsSite(*world_, rng_);
       const size_t k = model_.domain_size(var);
       row_buf_.resize(k);
       const uint32_t old_value = world_->Get(var);
-      if constexpr (kTimed) {
-        phase_totals_->propose_seconds += phase_timer->ElapsedSeconds();
-        phase_timer->Reset();
-      }
       if (!model_.ConditionalRow(*world_, var, row_buf_.data(),
                                  score_scratch_.get())) {
         // Per-candidate fill, exactly as GibbsProposal's fallback — the
@@ -201,9 +104,6 @@ size_t MetropolisHastings::StepBatchImpl(size_t n) {
         // the step loop accepts without an acceptance draw.
         ++num_accepted_;
         ++accepted;
-        if constexpr (kTimed) {
-          phase_totals_->score_seconds += phase_timer->ElapsedSeconds();
-        }
         continue;
       }
       // GibbsProposal's proposal-ratio correction plus the generic loop's
@@ -216,36 +116,21 @@ size_t MetropolisHastings::StepBatchImpl(size_t n) {
       const double log_alpha = row_buf_[new_value] + log_proposal_ratio;
       bool accept = log_alpha >= 0.0;
       if (!accept) accept = rng_.Uniform() < std::exp(log_alpha);
-      if constexpr (kTimed) {
-        phase_totals_->score_seconds += phase_timer->ElapsedSeconds();
-        phase_timer->Reset();
-      }
       if (!accept) continue;
       world_->Set(var, new_value);
       if (record) batch_applied_.push_back({var, old_value, new_value});
       ++num_accepted_;
       ++accepted;
-      if constexpr (kTimed) {
-        phase_totals_->apply_seconds += phase_timer->ElapsedSeconds();
-      }
-      if (batch_applied_.size() >= mirror_batch_limit_) flush();
+      if (batch_applied_.size() >= kMirrorBatchLimit) flush();
     }
     flush();
     return accepted;
   }
 
   for (size_t i = 0; i < n; ++i) {
-    if constexpr (kTimed) {
-      phase_timer->Reset();
-      ++phase_totals_->steps;
-    }
     ++num_proposed_;
     double log_proposal_ratio = 0.0;
     proposal_->Propose(*world_, rng_, &change_buf_, &log_proposal_ratio);
-    if constexpr (kTimed) {
-      phase_totals_->propose_seconds += phase_timer->ElapsedSeconds();
-      phase_timer->Reset();
-    }
     if (change_buf_.empty()) {
       ++num_accepted_;
       ++accepted;
@@ -256,10 +141,6 @@ size_t MetropolisHastings::StepBatchImpl(size_t n) {
     const double log_alpha = log_model_ratio + log_proposal_ratio;
     bool accept = log_alpha >= 0.0;
     if (!accept) accept = rng_.Uniform() < std::exp(log_alpha);
-    if constexpr (kTimed) {
-      phase_totals_->score_seconds += phase_timer->ElapsedSeconds();
-      phase_timer->Reset();
-    }
     if (!accept) continue;
 
     // Apply in assignment order, keeping only real modifications — the
@@ -274,10 +155,7 @@ size_t MetropolisHastings::StepBatchImpl(size_t n) {
     }
     ++num_accepted_;
     ++accepted;
-    if constexpr (kTimed) {
-      phase_totals_->apply_seconds += phase_timer->ElapsedSeconds();
-    }
-    if (batch_applied_.size() >= mirror_batch_limit_) flush();
+    if (batch_applied_.size() >= kMirrorBatchLimit) flush();
   }
   flush();
   return accepted;

@@ -45,10 +45,11 @@ class Proposal {
   /// True when this proposal is EXACTLY the single-site Gibbs kernel:
   /// Propose() draws a site via DrawGibbsSite, then resamples it from its
   /// full conditional (one LogCategorical draw), with the proposal-ratio
-  /// correction that makes MH acceptance ≈ 1. Declaring this lets the
-  /// batched sampler fuse propose/score/accept into its row-driven kernel
-  /// (MetropolisHastings::set_row_gibbs), which replicates the declared
-  /// draw order and floating-point arithmetic bitwise.
+  /// correction that makes MH acceptance ≈ 1. Declaring this makes
+  /// MetropolisHastings::Step(n) fuse propose/score/accept into its
+  /// row-driven loop, which replicates the declared draw order and
+  /// floating-point arithmetic bitwise; an undeclared Gibbs kernel runs
+  /// through the generic loop (the two-call path the tests compare it to).
   virtual bool IsSingleSiteGibbs() const { return false; }
 
   /// The Gibbs kernel's site-selection draw, i.e. the first draw Propose()

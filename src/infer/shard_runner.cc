@@ -35,7 +35,7 @@ ShardRunner::ShardRunner(const factor::Model& model, factor::World* world,
     // Pre-size the accepted-assignment buffer to the chain's flush quantum
     // so interval stepping never grows it mid-walk (appends stay
     // allocation-free until an interval exceeds one mirror batch).
-    shard.buffer.reserve(shard.chain->mirror_batch_limit());
+    shard.buffer.reserve(MetropolisHastings::kMirrorBatchLimit);
     shards_.push_back(std::move(shard));
   }
   // Listeners registered after the moves above so the captured Shard

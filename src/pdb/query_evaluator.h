@@ -63,27 +63,12 @@ class QueryAnswer {
 
 struct EvaluatorOptions {
   /// MH walk-steps between collected samples (the paper's k; §5.2 uses
-  /// 10,000 on the 10M-tuple corpus).
+  /// 10,000 on the 10M-tuple corpus). Fixed for the chain's lifetime, so a
+  /// fixed-seed run depends on its inputs only, never on timing.
   uint64_t steps_per_sample = 1000;
   /// Walk-steps of burn-in before the first collected sample.
   uint64_t burn_in = 0;
   uint64_t seed = 42;
-
-  /// §4.1's adaptive-k optimization: "Adaptively adjusting k to respond to
-  /// these various issues". When enabled, a materialized evaluator
-  /// adjusts k after each sample so that the measured routed-apply cost
-  /// (draining the delta accumulator + routing it through the views) stays
-  /// near `target_eval_fraction` of per-sample wall-clock: if the delta
-  /// path is cheap relative to walking, k shrinks (collect counts more
-  /// often — the ergodic theorems say every sample helps); if it is
-  /// expensive, k grows (walk further between costly evaluations).
-  /// Answer-set bookkeeping is deliberately excluded from the measured
-  /// cost: it scales with the answer size, not with k, so including it
-  /// would bias the controller toward over-thinning small-delta rounds.
-  bool adaptive_thinning = false;
-  double target_eval_fraction = 0.25;
-  uint64_t min_steps_per_sample = 16;
-  uint64_t max_steps_per_sample = 1 << 22;
 };
 
 }  // namespace pdb

@@ -5,7 +5,6 @@
 
 #include "ra/executor.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace fgpdb {
 namespace pdb {
@@ -29,8 +28,7 @@ SharedChainEvaluator::SharedChainEvaluator(ProbabilisticDatabase* pdb,
                                            bool materialized)
     : pdb_(pdb),
       options_(options),
-      materialized_(materialized),
-      steps_per_sample_(options.steps_per_sample) {
+      materialized_(materialized) {
   FGPDB_CHECK(pdb_ != nullptr);
   // A null proposal defers chain construction to EnableSharding (which
   // builds per-shard proposals from the plan's factory).
@@ -179,12 +177,6 @@ double SharedChainEvaluator::MaxHalfWidth(size_t slot) const {
   return slots_.at(slot).stats->MaxHalfWidth(z_);
 }
 
-uint64_t SharedChainEvaluator::RunUntilConverged(uint64_t max_samples) {
-  FGPDB_CHECK(tracking_)
-      << "RunUntilConverged requires EnableConvergenceTracking";
-  return RunQuantum(max_samples);
-}
-
 uint64_t SharedChainEvaluator::RunQuantum(uint64_t max_samples) {
   if (!initialized_) Initialize();
   uint64_t drawn = 0;
@@ -198,9 +190,7 @@ uint64_t SharedChainEvaluator::RunQuantum(uint64_t max_samples) {
 
 void SharedChainEvaluator::DrawSample() {
   FGPDB_CHECK(initialized_);
-  Stopwatch walk_timer;
-  StepChain(steps_per_sample_);
-  const double walk_seconds = walk_timer.ElapsedSeconds();
+  StepChain(options_.steps_per_sample);
 
   if (!materialized_) {
     pdb_->DiscardDeltas();
@@ -216,7 +206,6 @@ void SharedChainEvaluator::DrawSample() {
   // and the same DeltaSet is routed through every registered view. A view
   // none of whose subscribed tables were touched is skipped without being
   // entered at all.
-  Stopwatch apply_timer;
   pdb_->TakeDeltas(&delta_buf_);
   for (Slot& slot : slots_) {
     if (slot.converged) continue;  // drained: paused view, no apply cost
@@ -226,35 +215,11 @@ void SharedChainEvaluator::DrawSample() {
       ++views_skipped_;
     }
   }
-  last_apply_seconds_ = apply_timer.ElapsedSeconds();
   for (Slot& slot : slots_) {
     if (slot.converged) continue;
     ObserveSample(&slot);
     MaybeFreeze(&slot);
   }
-
-  if (options_.adaptive_thinning) {
-    // Steer the fanned-out apply cost's share of the sample toward the
-    // target: halve k when the delta path is cheap relative to walking,
-    // double it when expensive. Multiplicative updates keep the controller
-    // stable under noisy timers.
-    const double total = walk_seconds + last_apply_seconds_;
-    if (total > 0.0) {
-      const double fraction = last_apply_seconds_ / total;
-      if (fraction < options_.target_eval_fraction / 2.0) {
-        steps_per_sample_ = std::max(options_.min_steps_per_sample,
-                                     steps_per_sample_ / 2);
-      } else if (fraction > options_.target_eval_fraction * 2.0) {
-        steps_per_sample_ = std::min(options_.max_steps_per_sample,
-                                     steps_per_sample_ * 2);
-      }
-    }
-  }
-}
-
-void SharedChainEvaluator::Run(uint64_t n) {
-  if (!initialized_) Initialize();
-  for (uint64_t i = 0; i < n; ++i) DrawSample();
 }
 
 std::vector<Tuple> SharedChainEvaluator::CurrentAnswerSet(size_t slot) const {

@@ -74,17 +74,18 @@ class SharedChainEvaluator {
   /// answer set into its marginal counts.
   void DrawSample();
 
-  /// Initialize (if needed) plus `n` samples.
-  void Run(uint64_t n);
-
-  /// Scheduler entry point (serve layer): initialize if needed, then draw
-  /// at most `max_samples` samples, stopping early only when convergence
-  /// tracking is enabled and every query's bound holds. Returns the samples
-  /// actually drawn. The chain advances exactly as Run() would — a sequence
-  /// of quanta at a fixed seed is bitwise-identical to one call of their
-  /// sum, which is what lets a fair scheduler interleave many tenants'
-  /// chains without perturbing any single tenant's trajectory.
+  /// The sampling loop: initialize if needed, then draw at most
+  /// `max_samples` samples at the fixed thinning interval k, stopping early
+  /// only when convergence tracking is enabled and every query's bound
+  /// holds. Returns the samples actually drawn — the fig4b "samples used"
+  /// number under tracking. A sequence of quanta at a fixed seed is
+  /// bitwise-identical to one call of their sum, which is what lets a fair
+  /// scheduler (serve layer) interleave many tenants' chains without
+  /// perturbing any single tenant's trajectory.
   uint64_t RunQuantum(uint64_t max_samples);
+
+  /// RunQuantum(n), discarding the count.
+  void Run(uint64_t n) { RunQuantum(n); }
 
   /// Switches the chain to run-until-error-bound mode: every registered
   /// query tracks per-tuple batched-means standard errors, and a query
@@ -95,11 +96,6 @@ class SharedChainEvaluator {
   /// to an untracked run. Call before Initialize().
   void EnableConvergenceTracking(const ConvergenceOptions& options);
   bool tracking_convergence() const { return tracking_; }
-
-  /// Initialize (if needed) plus samples until every query converged or
-  /// `max_samples` were drawn. Returns the samples actually drawn — the
-  /// fig4b "samples used" number. Requires EnableConvergenceTracking.
-  uint64_t RunUntilConverged(uint64_t max_samples);
 
   /// Whether `slot`'s answer satisfied the error bound and froze.
   bool converged(size_t slot) const { return slots_.at(slot).converged; }
@@ -159,13 +155,8 @@ class SharedChainEvaluator {
                                static_cast<double>(proposed);
   }
 
-  /// Current thinning interval (changes over time under adaptive mode).
-  uint64_t steps_per_sample() const { return steps_per_sample_; }
-
-  /// Wall-clock seconds the last DrawSample spent on the routed delta path
-  /// (TakeDeltas + Apply across every view) — what adaptive thinning
-  /// steers by.
-  double last_apply_seconds() const { return last_apply_seconds_; }
+  /// The thinning interval k (fixed: EvaluatorOptions::steps_per_sample).
+  uint64_t steps_per_sample() const { return options_.steps_per_sample; }
 
   /// Chain-level union subscription map: base table → number of scan
   /// operators across ALL registered views reading it. A delta for a table
@@ -212,10 +203,8 @@ class SharedChainEvaluator {
   std::unique_ptr<infer::MetropolisHastings> sampler_;
   /// Sharded execution (EnableSharding); null on the serial path.
   std::unique_ptr<infer::ShardRunner> runner_;
-  uint64_t steps_per_sample_;
   // Reused every interval: TakeDeltas recycles its table buckets.
   view::DeltaSet delta_buf_;
-  double last_apply_seconds_ = 0.0;
   std::unordered_map<std::string, size_t> subscriptions_;
   uint64_t views_skipped_ = 0;
   bool initialized_ = false;

@@ -303,6 +303,38 @@ TEST(AdaptiveInferenceTest, EscalationDoublesChainsWhileBoundUnmet) {
   session->Run(/*budget=*/1);
   EXPECT_EQ(handle.Snapshot().rounds, 4u);
   EXPECT_EQ(handle.Snapshot().samples, 448u + 8u * 32u);
+  // The budget counts the samples THIS call draws, not the session's
+  // lifetime total (704 here, already past 300): one 8-chain round adds
+  // 256 < 300, so the ladder climbs to 16 chains and a second round runs.
+  const uint64_t before = handle.Snapshot().samples;
+  session->Run(/*budget=*/300);
+  EXPECT_FALSE(session->converged());
+  EXPECT_GE(handle.Snapshot().samples - before, 300u);
+  EXPECT_EQ(handle.Snapshot().samples, before + 8u * 32u + 16u * 32u);
+  EXPECT_EQ(handle.Snapshot().chains, 16u);
+}
+
+TEST(AdaptiveInferenceTest, SingleChainBudgetCountsThisCall) {
+  // The single-chain twin of the budget check above: eps = 1e-7 freezes
+  // nothing, so each Run(n) draws exactly n new samples however many the
+  // session already holds, and RunQuantum(m) draws m.
+  NerFixture fixture(300);
+  auto session = api::Session::Open(
+      {.database = fixture.tokens.pdb.get(),
+       .proposal_factory = fixture.MakeFactory(),
+       .evaluator = {.steps_per_sample = 100, .burn_in = 200, .seed = 4},
+       .policy = api::ExecutionPolicy::Until(0.95, /*eps=*/1e-7,
+                                             /*num_chains=*/1)});
+  api::ResultHandle handle = session->Register(ie::kQuery1);
+  session->Run(/*budget=*/300);
+  EXPECT_FALSE(session->converged());
+  EXPECT_EQ(handle.Snapshot().samples, 300u);
+  session->Run(/*budget=*/300);
+  EXPECT_FALSE(session->converged());
+  EXPECT_EQ(handle.Snapshot().samples, 600u);
+  EXPECT_EQ(session->RunQuantum(50), 50u);
+  EXPECT_EQ(handle.Snapshot().samples, 650u);
+  EXPECT_EQ(handle.Snapshot().chains, 1u);
 }
 
 // --- Concurrent snapshot reader ---------------------------------------------

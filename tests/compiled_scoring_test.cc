@@ -1,11 +1,15 @@
 // The compiled scoring layer's contract (factor/compiled_weights.h): dense
 // tables return bit-for-bit the doubles the naive Parameters::Get scoring
 // computes, tables refresh lazily when the parameter version moves, and the
-// scratch-reuse protocol changes no results.
+// scratch-reuse protocol changes no results. Also the step kernel's parity
+// references: ReferenceStep for Step(n), TwoCallGibbs for the fused Gibbs
+// loop, and per-step mirroring for the shared chain on Queries 1–4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "factor/compiled_weights.h"
@@ -22,6 +26,7 @@
 #include "pdb/shared_chain.h"
 #include "sql/binder.h"
 #include "util/rng.h"
+#include "view/incremental.h"
 
 namespace fgpdb {
 namespace ie {
@@ -66,6 +71,90 @@ struct CompiledVsNaive {
     return change;
   }
 };
+
+using Stream = std::vector<factor::AppliedAssignment>;
+
+// The step kernel's reference: one MH transition written out plainly —
+// Propose, LogScoreDelta, the acceptance test, World::Apply, then the no-op
+// filter. Appends the accepted real modifications to `stream`; returns true
+// on acceptance (self-transitions included), as MetropolisHastings::Step().
+bool ReferenceStep(const factor::Model& model, factor::World* world,
+                   infer::Proposal* proposal, Rng* rng, Stream* stream) {
+  double log_proposal_ratio = 0.0;
+  const factor::Change change =
+      proposal->Propose(*world, *rng, &log_proposal_ratio);
+  if (change.empty()) return true;
+  const double log_model_ratio = model.LogScoreDelta(*world, change);
+  const double log_alpha = log_model_ratio + log_proposal_ratio;
+  bool accept = log_alpha >= 0.0;
+  if (!accept) accept = rng->Uniform() < std::exp(log_alpha);
+  if (!accept) return false;
+  Stream applied;
+  world->Apply(change, &applied);
+  for (const factor::AppliedAssignment& a : applied) {
+    if (a.old_value != a.new_value) stream->push_back(a);
+  }
+  return true;
+}
+
+// Forwards to GibbsProposal without declaring itself single-site Gibbs, so
+// MetropolisHastings runs it through the generic loop: Propose fills the
+// conditional row and draws, then the acceptance test rescores the drawn
+// candidate with a second LogScoreDelta. The two-call reference the fused
+// row kernel must replay.
+class TwoCallGibbs final : public infer::Proposal {
+ public:
+  explicit TwoCallGibbs(const factor::Model& model) : gibbs_(model) {}
+
+  using Proposal::Propose;
+  void Propose(const factor::World& world, Rng& rng, factor::Change* change,
+               double* log_ratio) override {
+    gibbs_.Propose(world, rng, change, log_ratio);
+  }
+
+ private:
+  infer::GibbsProposal gibbs_;
+};
+
+// One chain over a private copy of `start` that records every listener
+// flush. The sampler and its listener hold addresses of the members, so a
+// chain is built in place and never copied.
+template <typename P>
+struct RecordingChain {
+  factor::World world;
+  P proposal;
+  infer::MetropolisHastings sampler;
+  Stream stream;
+
+  template <typename... ProposalArgs>
+  RecordingChain(const factor::Model& model, const factor::World& start,
+                 uint64_t seed, ProposalArgs&&... proposal_args)
+      : world(start),
+        proposal(std::forward<ProposalArgs>(proposal_args)...),
+        sampler(model, &world, &proposal, seed) {
+    sampler.AddListener([this](const Stream& applied) {
+      stream.insert(stream.end(), applied.begin(), applied.end());
+    });
+  }
+  RecordingChain(const RecordingChain&) = delete;
+  RecordingChain& operator=(const RecordingChain&) = delete;
+};
+
+// Same final world and same applied stream, record for record.
+void ExpectSameWalk(const factor::World& world_a, const Stream& stream_a,
+                    const factor::World& world_b, const Stream& stream_b) {
+  ASSERT_EQ(stream_a.size(), stream_b.size());
+  for (size_t i = 0; i < stream_a.size(); ++i) {
+    ASSERT_EQ(stream_a[i].var, stream_b[i].var) << "record " << i;
+    ASSERT_EQ(stream_a[i].old_value, stream_b[i].old_value) << "record " << i;
+    ASSERT_EQ(stream_a[i].new_value, stream_b[i].new_value) << "record " << i;
+  }
+  ASSERT_EQ(world_a.size(), world_b.size());
+  for (size_t v = 0; v < world_a.size(); ++v) {
+    const auto var = static_cast<factor::VarId>(v);
+    ASSERT_EQ(world_a.Get(var), world_b.Get(var)) << "var " << v;
+  }
+}
 
 // The randomized parity oracle: compiled scoring must equal the naive
 // Parameters::Get path bitwise over ~1k random changes, with and without
@@ -277,147 +366,103 @@ TEST(CompiledScoringTest, EntityResolutionConditionalRowMatchesPerCandidate) {
   }
 }
 
-// The batched kernel's seed-schedule contract: Step(n) must land on the
-// same world as n single Steps at the same seed, accept the same count,
-// and show listeners the same applied stream in the same order — both at
-// the default flush interval and at the per-step (limit=1) ablation.
+// The step kernel's seed-schedule contract: Step(n) must land on the same
+// world as n calls of Step() and as n ReferenceSteps at the same seed,
+// accept the same count, and show listeners the same applied stream in the
+// same order. A shuffled start keeps acceptance high enough that Step(n)
+// crosses its mid-batch mirror flush.
 TEST(CompiledScoringTest, BatchedStepMatchesSingleStepsBitwise) {
-  CompiledVsNaive fixture(600, 31);
-  const size_t kSteps = 6000;
+  CompiledVsNaive fixture(6000, 31);
+  Rng shuffle(8);
+  fixture.ShuffleWorld(shuffle);
+  const size_t kSteps = 20000;
   const uint64_t kSeed = 123;
+  const NerProposalOptions batch{.proposals_per_batch = 250};
+  const auto& docs = fixture.tokens.docs;
 
-  struct Runner {
-    factor::World world;
-    DocumentBatchProposal proposal;
-    infer::MetropolisHastings sampler;
-    std::vector<factor::AppliedAssignment> stream;
+  using Chain = RecordingChain<DocumentBatchProposal>;
+  Chain batched(*fixture.compiled, fixture.world, kSeed, &docs, batch);
+  Chain single(*fixture.compiled, fixture.world, kSeed, &docs, batch);
+  // Walked by ReferenceStep; its sampler stays idle.
+  Chain reference(*fixture.compiled, fixture.world, kSeed, &docs, batch);
+  Rng reference_rng(kSeed);
 
-    Runner(const CompiledVsNaive& f, uint64_t seed)
-        : world(f.tokens.num_tokens()),
-          proposal(&f.tokens.docs, {.proposals_per_batch = 250}),
-          sampler(*f.compiled, &world, &proposal, seed) {
-      sampler.AddListener([this](
-          const std::vector<factor::AppliedAssignment>& applied) {
-        stream.insert(stream.end(), applied.begin(), applied.end());
-      });
-    }
-  };
-
-  Runner single(fixture, kSeed);
-  Runner batched(fixture, kSeed);
-  Runner per_step(fixture, kSeed);
-  per_step.sampler.set_mirror_batch_limit(1);
-
+  const size_t accepted_batched = batched.sampler.Step(kSteps);
   size_t accepted_single = 0;
+  size_t accepted_reference = 0;
   for (size_t i = 0; i < kSteps; ++i) {
     if (single.sampler.Step()) ++accepted_single;
+    if (ReferenceStep(*fixture.compiled, &reference.world, &reference.proposal,
+                      &reference_rng, &reference.stream)) {
+      ++accepted_reference;
+    }
   }
-  const size_t accepted_batched = batched.sampler.Step(kSteps);
-  const size_t accepted_per_step = per_step.sampler.Step(kSteps);
 
-  EXPECT_EQ(accepted_single, accepted_batched);
-  EXPECT_EQ(accepted_single, accepted_per_step);
-  EXPECT_EQ(single.sampler.num_accepted(), batched.sampler.num_accepted());
-  for (size_t v = 0; v < single.world.size(); ++v) {
-    const auto var = static_cast<factor::VarId>(v);
-    ASSERT_EQ(single.world.Get(var), batched.world.Get(var)) << "var " << v;
-    ASSERT_EQ(single.world.Get(var), per_step.world.Get(var)) << "var " << v;
-  }
-  ASSERT_EQ(single.stream.size(), batched.stream.size());
-  ASSERT_EQ(single.stream.size(), per_step.stream.size());
-  for (size_t i = 0; i < single.stream.size(); ++i) {
-    ASSERT_EQ(single.stream[i].var, batched.stream[i].var) << "record " << i;
-    ASSERT_EQ(single.stream[i].old_value, batched.stream[i].old_value);
-    ASSERT_EQ(single.stream[i].new_value, batched.stream[i].new_value);
-    ASSERT_EQ(single.stream[i].var, per_step.stream[i].var) << "record " << i;
-    ASSERT_EQ(single.stream[i].old_value, per_step.stream[i].old_value);
-    ASSERT_EQ(single.stream[i].new_value, per_step.stream[i].new_value);
-  }
+  EXPECT_EQ(accepted_batched, accepted_single);
+  EXPECT_EQ(accepted_batched, accepted_reference);
+  EXPECT_EQ(batched.sampler.num_accepted(), single.sampler.num_accepted());
+  EXPECT_GT(batched.stream.size(),
+            infer::MetropolisHastings::kMirrorBatchLimit);
+  ExpectSameWalk(batched.world, batched.stream, single.world, single.stream);
+  ExpectSameWalk(batched.world, batched.stream, reference.world,
+                 reference.stream);
 }
 
-// The row-driven Gibbs kernel (PR 10): with a single-site Gibbs proposal,
-// Step(n)'s fused path — candidate sampled straight from ConditionalRow,
-// row[new] reused as the acceptance's model ratio — must replay the
-// reference two-call path (GibbsProposal::Propose + LogScoreDelta) exactly:
-// same accepted count, same applied stream, same final world, bitwise,
-// over ≥1k steps. Runs on shadow-carrying worlds so the narrow label lane
-// is exercised end to end.
+// The row-driven Gibbs kernel: with a single-site Gibbs proposal, Step(n)'s
+// fused loop — candidate sampled straight from ConditionalRow, row[new]
+// reused as the acceptance's model ratio — must replay the two-call path
+// (TwoCallGibbs through the generic loop) and ReferenceStep exactly: same
+// accepted count, same applied stream, same final world, bitwise. Runs on a
+// shuffled, shadow-carrying world so the narrow label lane is exercised end
+// to end and both loops cross their mid-batch flush.
 TEST(CompiledScoringTest, RowGibbsMatchesReferenceBitwise) {
-  CompiledVsNaive fixture(800, 47);
-  const size_t kSteps = 4000;
+  CompiledVsNaive fixture(8000, 47);
+  fixture.world = fixture.tokens.pdb->world();  // Carries the label shadow.
+  ASSERT_TRUE(fixture.world.has_label_shadow());
+  Rng shuffle(12);
+  fixture.ShuffleWorld(shuffle);
+  const size_t kSteps = 20000;
   const uint64_t kSeed = 777;
+  const SkipChainNerModel& model = *fixture.compiled;
 
-  struct Runner {
-    factor::World world;
-    infer::GibbsProposal proposal;
-    infer::MetropolisHastings sampler;
-    std::vector<factor::AppliedAssignment> stream;
-
-    Runner(const CompiledVsNaive& f, uint64_t seed)
-        : world(f.tokens.pdb->world()),  // Carries the label shadow.
-          proposal(*f.compiled),
-          sampler(*f.compiled, &world, &proposal, seed) {
-      sampler.AddListener(
-          [this](const std::vector<factor::AppliedAssignment>& applied) {
-            stream.insert(stream.end(), applied.begin(), applied.end());
-          });
-    }
-  };
-
-  Runner fused(fixture, kSeed);
-  ASSERT_TRUE(fused.sampler.row_gibbs());  // The default.
-  ASSERT_TRUE(fused.world.has_label_shadow());
-  Runner reference(fixture, kSeed);
-  reference.sampler.set_row_gibbs(false);
-  Runner single(fixture, kSeed);
-  single.sampler.set_row_gibbs(false);
+  RecordingChain<infer::GibbsProposal> fused(model, fixture.world, kSeed,
+                                             model);
+  RecordingChain<TwoCallGibbs> two_call(model, fixture.world, kSeed, model);
+  // Walked by ReferenceStep; its sampler stays idle.
+  RecordingChain<infer::GibbsProposal> reference(model, fixture.world, kSeed,
+                                                 model);
+  Rng reference_rng(kSeed);
 
   const size_t accepted_fused = fused.sampler.Step(kSteps);
-  const size_t accepted_reference = reference.sampler.Step(kSteps);
-  size_t accepted_single = 0;
+  const size_t accepted_two_call = two_call.sampler.Step(kSteps);
+  size_t accepted_reference = 0;
   for (size_t i = 0; i < kSteps; ++i) {
-    if (single.sampler.Step()) ++accepted_single;
+    if (ReferenceStep(model, &reference.world, &reference.proposal,
+                      &reference_rng, &reference.stream)) {
+      ++accepted_reference;
+    }
   }
 
+  EXPECT_EQ(accepted_fused, accepted_two_call);
   EXPECT_EQ(accepted_fused, accepted_reference);
-  EXPECT_EQ(accepted_fused, accepted_single);
-  ASSERT_EQ(fused.stream.size(), reference.stream.size());
-  ASSERT_EQ(fused.stream.size(), single.stream.size());
-  EXPECT_GT(fused.stream.size(), 0u);
-  for (size_t i = 0; i < fused.stream.size(); ++i) {
-    ASSERT_EQ(fused.stream[i].var, reference.stream[i].var) << "record " << i;
-    ASSERT_EQ(fused.stream[i].old_value, reference.stream[i].old_value);
-    ASSERT_EQ(fused.stream[i].new_value, reference.stream[i].new_value);
-    ASSERT_EQ(fused.stream[i].var, single.stream[i].var);
-    ASSERT_EQ(fused.stream[i].new_value, single.stream[i].new_value);
-  }
-  for (size_t v = 0; v < fused.world.size(); ++v) {
-    const auto var = static_cast<factor::VarId>(v);
-    ASSERT_EQ(fused.world.Get(var), reference.world.Get(var)) << "var " << v;
-    ASSERT_EQ(fused.world.Get(var), single.world.Get(var));
-  }
+  EXPECT_GT(fused.stream.size(), infer::MetropolisHastings::kMirrorBatchLimit);
+  ExpectSameWalk(fused.world, fused.stream, two_call.world, two_call.stream);
+  ExpectSameWalk(fused.world, fused.stream, reference.world,
+                 reference.stream);
   EXPECT_TRUE(fused.world.LabelShadowConsistent());
+  EXPECT_TRUE(two_call.world.LabelShadowConsistent());
 
   // The fallback (non-compiled) row fill must fuse identically too: the
   // naive model has no ConditionalRow, so the fused kernel's per-candidate
-  // fill is exercised against the reference pair.
-  factor::World naive_fused_world = fixture.tokens.pdb->world();
-  factor::World naive_reference_world = fixture.tokens.pdb->world();
-  infer::GibbsProposal naive_prop_a(*fixture.naive);
-  infer::GibbsProposal naive_prop_b(*fixture.naive);
-  infer::MetropolisHastings naive_fused_chain(*fixture.naive,
-                                              &naive_fused_world,
-                                              &naive_prop_a, kSeed);
-  infer::MetropolisHastings naive_reference_chain(*fixture.naive,
-                                                  &naive_reference_world,
-                                                  &naive_prop_b, kSeed);
-  naive_reference_chain.set_row_gibbs(false);
-  EXPECT_EQ(naive_fused_chain.Step(1000), naive_reference_chain.Step(1000));
-  for (size_t v = 0; v < naive_fused_world.size(); ++v) {
-    const auto var = static_cast<factor::VarId>(v);
-    ASSERT_EQ(naive_fused_world.Get(var), naive_reference_world.Get(var))
-        << "var " << v;
-  }
+  // fill is exercised against the two-call path.
+  const SkipChainNerModel& naive = *fixture.naive;
+  RecordingChain<infer::GibbsProposal> naive_fused(naive, fixture.world,
+                                                   kSeed, naive);
+  RecordingChain<TwoCallGibbs> naive_two_call(naive, fixture.world, kSeed,
+                                              naive);
+  EXPECT_EQ(naive_fused.sampler.Step(1000), naive_two_call.sampler.Step(1000));
+  ExpectSameWalk(naive_fused.world, naive_fused.stream, naive_two_call.world,
+                 naive_two_call.stream);
 }
 
 // Label-layout parity (PR 10): a world carrying the uint8 shadow lane and
@@ -476,41 +521,69 @@ TEST(CompiledScoringTest, HotBlockLayoutsWalkIdenticalTrajectories) {
   }
 }
 
-// End-to-end across the mirror boundary: Queries 1–4 evaluated on one
-// shared chain must answer bitwise-identically whether the accepted-jump
-// stream crosses into the DB mirror once per batch (default) or once per
-// accepted step (mirror_batch_limit = 1, the unbatched ablation).
+// End-to-end across the mirror boundary: Queries 1–4 on one shared chain,
+// which mirrors per Step(k) flush, must answer bitwise like a hand-rolled
+// loop that crosses into the DB mirror after every step — k × Step(), then
+// TakeDeltas and MaterializedView::Apply per query. The chain starts from a
+// shuffled world without burn-in, so its first intervals accept more than
+// kMirrorBatchLimit assignments and Step(k) flushes mid-batch.
 TEST(CompiledScoringTest, SharedChainBatchedMirrorMatchesPerStepOnQueries) {
-  CompiledVsNaive fixture(400, 61);
-  fixture.tokens.pdb->set_model(fixture.compiled.get());
-  auto clone = fixture.tokens.pdb->Clone();
+  CompiledVsNaive fixture(6000, 61);
+  pdb::ProbabilisticDatabase& batched_pdb = *fixture.tokens.pdb;
+  batched_pdb.set_model(fixture.compiled.get());
+  Rng shuffle(3);
+  for (size_t v = 0; v < batched_pdb.world().size(); ++v) {
+    batched_pdb.world().Set(static_cast<factor::VarId>(v),
+                            static_cast<uint32_t>(shuffle.UniformInt(kNumLabels)));
+  }
+  batched_pdb.binding().StoreWorld(batched_pdb.world(), &batched_pdb.db());
+  auto per_step_pdb = batched_pdb.Clone();
   const pdb::EvaluatorOptions options{
-      .steps_per_sample = 300, .burn_in = 600, .seed = 2026};
+      .steps_per_sample = 20000, .burn_in = 0, .seed = 2026};
+  const size_t kSamples = 4;
+  const NerProposalOptions batch{.proposals_per_batch = 300};
   const std::vector<const char*> queries = {kQuery1, kQuery2, kQuery3,
                                             kQuery4};
 
-  DocumentBatchProposal batched_proposal(&fixture.tokens.docs,
-                                         {.proposals_per_batch = 300});
-  DocumentBatchProposal per_step_proposal(&fixture.tokens.docs,
-                                          {.proposals_per_batch = 300});
-  pdb::SharedChainEvaluator batched(fixture.tokens.pdb.get(),
-                                    &batched_proposal, options);
-  pdb::SharedChainEvaluator per_step(clone.get(), &per_step_proposal, options);
-  per_step.sampler().set_mirror_batch_limit(1);
-
+  DocumentBatchProposal batched_proposal(&fixture.tokens.docs, batch);
+  pdb::SharedChainEvaluator batched(&batched_pdb, &batched_proposal, options);
+  size_t largest_flush = 0;
+  batched.sampler().AddListener([&](const Stream& applied) {
+    largest_flush = std::max(largest_flush, applied.size());
+  });
   std::vector<ra::PlanPtr> plans;
   for (const char* query : queries) {
-    plans.push_back(sql::PlanQuery(query, fixture.tokens.pdb->db()));
+    plans.push_back(sql::PlanQuery(query, batched_pdb.db()));
     batched.AddQuery(plans.back().get());
-    plans.push_back(sql::PlanQuery(query, clone->db()));
-    per_step.AddQuery(plans.back().get());
   }
-  batched.Run(12);
-  per_step.Run(12);
+  batched.Run(kSamples);
+  EXPECT_GE(largest_flush, infer::MetropolisHastings::kMirrorBatchLimit);
+
+  DocumentBatchProposal per_step_proposal(&fixture.tokens.docs, batch);
+  auto sampler = per_step_pdb->MakeSampler(&per_step_proposal, options.seed);
+  std::vector<std::unique_ptr<view::MaterializedView>> views;
+  for (const char* query : queries) {
+    plans.push_back(sql::PlanQuery(query, per_step_pdb->db()));
+    views.push_back(std::make_unique<view::MaterializedView>(*plans.back()));
+    views.back()->Initialize(per_step_pdb->db());
+  }
+  std::vector<pdb::QueryAnswer> per_step(queries.size());
+  view::DeltaSet deltas;
+  for (size_t sample = 0; sample < kSamples; ++sample) {
+    for (uint64_t i = 0; i < options.steps_per_sample; ++i) sampler->Step();
+    per_step_pdb->TakeDeltas(&deltas);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      views[q]->Apply(deltas);
+      std::vector<Tuple> distinct;
+      views[q]->contents().ForEach(
+          [&](const Tuple& t, int64_t) { distinct.push_back(t); });
+      per_step[q].ObserveSampleContaining(distinct);
+    }
+  }
 
   for (size_t q = 0; q < queries.size(); ++q) {
     const pdb::QueryAnswer& a = batched.answer(q);
-    const pdb::QueryAnswer& b = per_step.answer(q);
+    const pdb::QueryAnswer& b = per_step[q];
     EXPECT_EQ(a.num_samples(), b.num_samples()) << queries[q];
     const auto a_sorted = a.Sorted();
     const auto b_sorted = b.Sorted();

@@ -9,15 +9,13 @@
 
 #include "ie/bio_proposal.h"
 #include "ie/ner_proposal.h"
-#include "ie/queries.h"
-#include "sql/binder.h"
 #include "ie/corpus.h"
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
 #include "infer/diagnostics.h"
 #include "infer/metropolis_hastings.h"
 #include "pdb/aggregate_distribution.h"
-#include "pdb/shared_chain.h"
+#include "pdb/query_evaluator.h"
 #include "storage/csv_io.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -270,57 +268,6 @@ TEST(TopKTest, RanksByProbability) {
   EXPECT_EQ(top2[1].first, b);
   EXPECT_DOUBLE_EQ(top2[1].second, 0.5);
   EXPECT_EQ(answer.TopK(10).size(), 3u);
-}
-
-
-// --- Adaptive thinning (paper §4.1) ----------------------------------------------
-
-TEST(AdaptiveThinningTest, KAdjustsTowardTargetEvalFraction) {
-  // The K-view controller: Queries 1-4 on one chain, steered by the apply
-  // cost summed over the fanned-out views.
-  const ie::SyntheticCorpus corpus = ie::GenerateCorpus(
-      {.num_tokens = 5000, .tokens_per_doc = 100, .seed = 121});
-  ie::TokenPdb tokens = ie::BuildTokenPdb(corpus);
-  ie::SkipChainNerModel model(tokens);
-  model.InitializeFromCorpusStatistics(tokens);
-  tokens.pdb->set_model(&model);
-  std::vector<ra::PlanPtr> plans;
-  for (const char* query :
-       {ie::kQuery1, ie::kQuery2, ie::kQuery3, ie::kQuery4}) {
-    plans.push_back(sql::PlanQuery(query, tokens.pdb->db()));
-  }
-  ie::DocumentBatchProposal proposal(&tokens.docs);
-  pdb::EvaluatorOptions options;
-  // Start with an absurdly large k: walking dominates, so the controller
-  // must shrink k substantially.
-  options.steps_per_sample = 1 << 20;
-  options.adaptive_thinning = true;
-  options.target_eval_fraction = 0.25;
-  pdb::SharedChainEvaluator evaluator(tokens.pdb.get(), &proposal, options);
-  for (const ra::PlanPtr& plan : plans) evaluator.AddQuery(plan.get());
-  evaluator.Run(25);
-  EXPECT_LT(evaluator.steps_per_sample(), options.steps_per_sample / 8)
-      << "adaptive controller should have shrunk k";
-  EXPECT_GE(evaluator.steps_per_sample(), options.min_steps_per_sample);
-  for (size_t q = 0; q < plans.size(); ++q) {
-    EXPECT_EQ(evaluator.answer(q).num_samples(), 25u) << "query " << q + 1;
-  }
-}
-
-TEST(AdaptiveThinningTest, DisabledKeepsKFixed) {
-  const ie::SyntheticCorpus corpus = ie::GenerateCorpus(
-      {.num_tokens = 1000, .tokens_per_doc = 100, .seed = 123});
-  ie::TokenPdb tokens = ie::BuildTokenPdb(corpus);
-  ie::SkipChainNerModel model(tokens);
-  model.InitializeFromCorpusStatistics(tokens);
-  tokens.pdb->set_model(&model);
-  ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, tokens.pdb->db());
-  ie::DocumentBatchProposal proposal(&tokens.docs);
-  pdb::SharedChainEvaluator evaluator(tokens.pdb.get(), &proposal,
-                                      {.steps_per_sample = 500});
-  evaluator.AddQuery(plan.get());
-  evaluator.Run(10);
-  EXPECT_EQ(evaluator.steps_per_sample(), 500u);
 }
 
 }  // namespace

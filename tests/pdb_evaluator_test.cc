@@ -173,5 +173,60 @@ TEST(EvaluatorTest, CurrentAnswerSetMatchesBetweenEvaluators) {
   EXPECT_EQ(sa, sb);
 }
 
+TEST(EvaluatorTest, ThinningIntervalStaysFixed) {
+  // k is EvaluatorOptions::steps_per_sample and nothing steers it: every
+  // sample costs exactly k chain steps, however long a step or a view
+  // update takes, so a fixed-seed run never depends on timing.
+  NerFixture fixture(1000);
+  ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, fixture.tokens.pdb->db());
+  ie::DocumentBatchProposal proposal(&fixture.tokens.docs);
+  pdb::SharedChainEvaluator evaluator(
+      fixture.tokens.pdb.get(), &proposal,
+      {.steps_per_sample = 500, .burn_in = 300});
+  evaluator.AddQuery(plan.get());
+  evaluator.Run(10);
+  EXPECT_EQ(evaluator.steps_per_sample(), 500u);
+  EXPECT_EQ(evaluator.num_proposed(), 300u + 10u * 500u);
+  EXPECT_EQ(evaluator.RunQuantum(7), 7u);
+  EXPECT_EQ(evaluator.steps_per_sample(), 500u);
+  EXPECT_EQ(evaluator.num_proposed(), 300u + 17u * 500u);
+  EXPECT_EQ(evaluator.answer(0).num_samples(), 17u);
+}
+
+TEST(EvaluatorTest, QuantaReplayOneRunBitwise) {
+  // Run(n) is RunQuantum(n), and quanta compose: 5 + 4 + 3 samples at one
+  // seed walk the same chain as Run(12), so Queries 1-4 sharing that chain
+  // end on bitwise-identical marginals. The serve scheduler relies on this
+  // to slice a tenant's budget without perturbing its trajectory.
+  NerFixture fixture(400);
+  auto world_a = fixture.tokens.pdb->Clone();
+  auto world_b = fixture.tokens.pdb->Clone();
+  ie::DocumentBatchProposal pa(&fixture.tokens.docs);
+  ie::DocumentBatchProposal pb(&fixture.tokens.docs);
+  const pdb::EvaluatorOptions options{
+      .steps_per_sample = 150, .burn_in = 400, .seed = 9};
+  pdb::SharedChainEvaluator whole(world_a.get(), &pa, options);
+  pdb::SharedChainEvaluator sliced(world_b.get(), &pb, options);
+  std::vector<ra::PlanPtr> plans;
+  for (const char* query :
+       {ie::kQuery1, ie::kQuery2, ie::kQuery3, ie::kQuery4}) {
+    plans.push_back(sql::PlanQuery(query, world_a->db()));
+    whole.AddQuery(plans.back().get());
+    plans.push_back(sql::PlanQuery(query, world_b->db()));
+    sliced.AddQuery(plans.back().get());
+  }
+  whole.Run(12);
+  for (const uint64_t quantum : {5u, 4u, 3u}) {
+    EXPECT_EQ(sliced.RunQuantum(quantum), quantum);
+  }
+  EXPECT_EQ(sliced.num_proposed(), whole.num_proposed());
+  EXPECT_EQ(sliced.num_accepted(), whole.num_accepted());
+  for (size_t q = 0; q < whole.num_queries(); ++q) {
+    EXPECT_EQ(sliced.answer(q).num_samples(), 12u) << "query " << q + 1;
+    EXPECT_EQ(sliced.answer(q).Sorted(), whole.answer(q).Sorted())
+        << "query " << q + 1;
+  }
+}
+
 }  // namespace
 }  // namespace fgpdb
