@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
         world.get(), &proposal,
         {.steps_per_sample = k, .burn_in = 0, .seed = DeriveSeed(master, 2)});
     evaluator.AddQuery(plan.get());
-    evaluator.Run(20000);
+    evaluator.RunQuantum(20000);
     truth = evaluator.answer(0);
   }
 
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
           world.get(), proposal.get(),
           {.steps_per_sample = k, .burn_in = 0, .seed = kernel_seed});
       evaluator.AddQuery(plan.get());
-      evaluator.Run(samples);
+      evaluator.RunQuantum(samples);
       table.AddRow({"document-batch (whole DB)", std::to_string(budget),
                     FormatDouble(evaluator.answer(0).SquaredError(truth), 5)});
     }
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
           world.get(), &proposal,
           {.steps_per_sample = k, .burn_in = 0, .seed = kernel_seed});
       evaluator.AddQuery(plan.get());
-      evaluator.Run(samples);
+      evaluator.RunQuantum(samples);
       table.AddRow({"targeted (Boston docs)", std::to_string(budget),
                     FormatDouble(evaluator.answer(0).SquaredError(truth), 5)});
     }

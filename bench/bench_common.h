@@ -123,7 +123,7 @@ inline pdb::QueryAnswer EstimateGroundTruth(const NerBench& bench,
        .burn_in = DefaultBurnIn(bench.tokens.num_tokens()),
        .seed = seed});
   evaluator.AddQuery(plan.get());
-  evaluator.Run(samples);
+  evaluator.RunQuantum(samples);
   return evaluator.answer(0);
 }
 

@@ -92,11 +92,11 @@ std::vector<SweepRow> RunShardSweep(uint64_t master, size_t num_tokens,
         /*materialized=*/true);
     chain.EnableSharding(plan);
     chain.Initialize();
-    chain.Run(4);  // Warm the shard chains, pool, and proposal batches.
+    chain.RunQuantum(4);  // Warm the shard chains, pool, and proposal batches.
 
     const uint64_t accepted_before = chain.num_accepted();
     Stopwatch timer;
-    chain.Run(measure_samples);
+    chain.RunQuantum(measure_samples);
     const double seconds = timer.ElapsedSeconds();
     const uint64_t accepted = chain.num_accepted() - accepted_before;
 

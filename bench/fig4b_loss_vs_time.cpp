@@ -152,9 +152,8 @@ int main(int argc, char** argv) {
   // conservative guessed count. until() spends samples until its own bound
   // is met, escalating the chain count while it is not.
   const size_t base_chains = 4;
-  const size_t fixed_chains = 256;  // 2x the default escalation cap's 128
-  const uint64_t samples_per_round = 32;
-  const uint64_t fixed_total = fixed_chains * samples_per_round;
+  const size_t fixed_chains = 256;  // 8x the default ladder's top rung, 32
+  const uint64_t fixed_total = fixed_chains * api::Session::kSamplesPerRound;
   const pdb::EvaluatorOptions ad_options{.steps_per_sample = 2 * n,
                                          .burn_in = DefaultBurnIn(n),
                                          .seed = curve_seed};
@@ -178,7 +177,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\n=== Adaptive: until(0.95, eps) vs fixed " << fixed_total
             << " samples (" << fixed_chains << " chains x "
-            << samples_per_round
+            << api::Session::kSamplesPerRound
             << ", burn-in + near-independence thinning) ===\n";
   TablePrinter adaptive_table({"eps", "samples", "of fixed", "rounds",
                                "chains", "seconds", "converged",

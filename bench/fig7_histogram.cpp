@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
        .burn_in = DefaultBurnIn(n),
        .seed = DeriveSeed(master, 1)});
   evaluator.AddQuery(plan.get());
-  evaluator.Run(2000);
+  evaluator.RunQuantum(2000);
 
   // The answer: one tuple per observed count value, with probability —
   // summarized by the library's aggregate-distribution API.

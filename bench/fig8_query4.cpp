@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
        .burn_in = DefaultBurnIn(n),
        .seed = DeriveSeed(master, 1)});
   evaluator.AddQuery(plan.get());
-  evaluator.Run(1500);
+  evaluator.RunQuantum(1500);
 
   auto answer = evaluator.answer(0).Sorted();
   std::sort(answer.begin(), answer.end(),
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
        .burn_in = DefaultBurnIn(n),
        .seed = DeriveSeed(master, 2)});
   evaluator2.AddQuery(plan2.get());
-  evaluator2.Run(1500);
+  evaluator2.RunQuantum(1500);
   auto per_doc = evaluator2.answer(0).Sorted();
   std::sort(per_doc.begin(), per_doc.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });

@@ -34,7 +34,7 @@ StandaloneResult RunStandalone(const NerBench& bench, const char* query,
   pdb::SharedChainEvaluator evaluator(world.get(), proposal.get(), options);
   evaluator.AddQuery(plan.get());
   Stopwatch timer;
-  evaluator.Run(kSamples);
+  evaluator.RunQuantum(kSamples);
   StandaloneResult result;
   result.seconds = timer.ElapsedSeconds();
   result.answer = evaluator.answer(0);

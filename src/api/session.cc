@@ -127,11 +127,12 @@ ResultHandle Session::Register(const PreparedQueryPtr& prepared) {
 }
 
 uint64_t Session::RunParallelRound(uint64_t samples_per_chain,
-                                   size_t num_chains, bool track_stats) {
+                                   size_t num_chains) {
   // A fresh batch of COW chains, every chain maintaining ALL registered
   // views on its one sampler, per-query answers merged as chains finish.
   // Distinct epoch salts decorrelate successive batches (epoch 0 matches a
   // standalone EvaluateParallelMulti).
+  const bool until = options_.policy.mode == ExecutionPolicy::Mode::kUntil;
   std::vector<const ra::PlanNode*> plans;
   plans.reserve(registered_.size());
   for (const Registered& r : registered_) plans.push_back(&r.query->plan());
@@ -142,7 +143,7 @@ uint64_t Session::RunParallelRound(uint64_t samples_per_chain,
   parallel.materialized = true;
   parallel.use_threads = options_.policy.use_threads;
   parallel.max_threads = options_.policy.max_threads;
-  parallel.track_chain_stats = track_stats;
+  parallel.track_chain_stats = until;
   if (options_.shard_plan.has_plan()) {
     parallel.shard_plan = &options_.shard_plan;
   }
@@ -155,11 +156,10 @@ uint64_t Session::RunParallelRound(uint64_t samples_per_chain,
   ++parallel_epoch_;
   parallel_proposed_ += batch.total_proposed;
   parallel_accepted_ += batch.total_accepted;
-  uint64_t samples_total = 0;
   for (size_t q = 0; q < registered_.size(); ++q) {
     Registered& reg = registered_[q];
     reg.merged.Merge(batch.answers[q]);
-    if (track_stats) {
+    if (until) {
       reg.chain_stats.Merge(batch.stats[q]);
       if (!reg.converged &&
           reg.merged.num_samples() >= options_.policy.min_samples &&
@@ -168,68 +168,23 @@ uint64_t Session::RunParallelRound(uint64_t samples_per_chain,
         reg.converged = true;
       }
     }
-    samples_total = std::max(samples_total, reg.merged.num_samples());
   }
-  if (track_stats) ++until_rounds_;
-  return samples_total;
-}
-
-void Session::RunUntilMultiChain(uint64_t max_samples) {
-  // The escalation ladder: rounds of `until_chains_` COW chains, each
-  // samples_per_round long, feeding the cross-chain error estimator. While
-  // the bound is unmet the chain count doubles (up to max_escalations rungs
-  // above the starting width); the round length never changes, so every
-  // chain ever folded carries the same sample count and the cross-chain SE
-  // stays well-defined. The ladder position persists across Run() calls.
-  const ExecutionPolicy& policy = options_.policy;
-  const uint64_t before = CurrentMultiSamples();
-  while (true) {
-    const uint64_t total =
-        RunParallelRound(policy.samples_per_round, until_chains_,
-                         /*track_stats=*/true);
-    if (converged()) break;
-    if (total - before >= max_samples) break;
-    if (until_escalations_ < policy.max_escalations) {
-      // Under results_mu_: concurrent Snapshot() readers report the ladder
-      // position (QueryProgress::chains).
-      std::lock_guard<std::mutex> lock(results_mu_);
-      until_chains_ *= 2;
-      ++until_escalations_;
-    }
+  if (until) {
+    ++until_rounds_;
+    until_chains_ = num_chains;
   }
+  // Every chain drew exactly samples_per_chain samples (no chain-level
+  // tracking stops one early) into every registered query.
+  return num_chains * samples_per_chain;
 }
 
 void Session::Run(uint64_t samples) {
-  FGPDB_CHECK(!registered_.empty())
-      << "Register at least one query before Run()";
-  switch (options_.policy.mode) {
-    case ExecutionPolicy::Mode::kSerial:
-    case ExecutionPolicy::Mode::kNaive:
-      chain_->Run(samples);
-      return;
-    case ExecutionPolicy::Mode::kUntil:
-      if (chain_ != nullptr) {
-        // Single-chain variant: batched-means errors, converged views
-        // freeze and leave the fan-out, and the chain stops once all have.
-        chain_->Run(samples);
-      } else {
-        RunUntilMultiChain(samples);
-      }
-      return;
-    case ExecutionPolicy::Mode::kParallel:
-      RunParallelRound(samples, options_.policy.num_chains,
-                       /*track_stats=*/false);
-      return;
+  uint64_t drawn = 0;
+  while (drawn < samples) {
+    const uint64_t quantum = RunQuantum(samples - drawn);
+    if (quantum == 0) break;
+    drawn += quantum;
   }
-}
-
-uint64_t Session::CurrentMultiSamples() const {
-  std::lock_guard<std::mutex> lock(results_mu_);
-  uint64_t total = 0;
-  for (const Registered& reg : registered_) {
-    total = std::max(total, reg.merged.num_samples());
-  }
-  return total;
 }
 
 uint64_t Session::RunQuantum(uint64_t max_samples) {
@@ -237,36 +192,21 @@ uint64_t Session::RunQuantum(uint64_t max_samples) {
       << "Register at least one query before RunQuantum()";
   if (max_samples == 0) return 0;
   const ExecutionPolicy& policy = options_.policy;
-  switch (policy.mode) {
-    case ExecutionPolicy::Mode::kSerial:
-    case ExecutionPolicy::Mode::kNaive:
-      return chain_->RunQuantum(max_samples);
-    case ExecutionPolicy::Mode::kUntil: {
-      if (chain_ != nullptr) return chain_->RunQuantum(max_samples);
-      // Multi-chain variant: one estimator round per quantum — the round
-      // length is the cross-chain SE's invariant, so the quantum cannot
-      // shorten it. An unconverged round climbs the escalation ladder,
-      // exactly as Run() does while its budget remains.
-      if (converged()) return 0;
-      const uint64_t before = CurrentMultiSamples();
-      const uint64_t after = RunParallelRound(policy.samples_per_round,
-                                              until_chains_,
-                                              /*track_stats=*/true);
-      if (!converged() && until_escalations_ < policy.max_escalations) {
-        std::lock_guard<std::mutex> lock(results_mu_);
-        until_chains_ *= 2;
-        ++until_escalations_;
-      }
-      return after - before;
-    }
-    case ExecutionPolicy::Mode::kParallel: {
-      const uint64_t before = CurrentMultiSamples();
-      const uint64_t after = RunParallelRound(max_samples, policy.num_chains,
-                                              /*track_stats=*/false);
-      return after - before;
-    }
+  // Resident-chain policies: serial, naive, sharded, until at one chain
+  // (converged views freeze, and the chain stops once all have).
+  if (chain_ != nullptr) return chain_->RunQuantum(max_samples);
+  if (policy.mode == ExecutionPolicy::Mode::kParallel) {
+    return RunParallelRound(max_samples, policy.num_chains);
   }
-  return 0;
+  // Until, multi-chain: one estimator round per quantum while the bound is
+  // unmet. The round length is the cross-chain SE's invariant, so the
+  // quantum cannot shorten it. Round r (1-based) runs
+  // num_chains · 2^min(r−1, max_escalations) chains: a function of the
+  // round index alone, however calls split the rounds.
+  if (converged()) return 0;
+  const uint64_t rung =
+      std::min<uint64_t>(until_rounds_, policy.max_escalations);
+  return RunParallelRound(kSamplesPerRound, policy.num_chains << rung);
 }
 
 bool Session::converged() const {

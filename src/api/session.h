@@ -28,6 +28,8 @@
 //   parallel  — num_chains COW-snapshot chains, each maintaining ALL
 //               registered views; per-query answers merged as chains finish
 //   naive     — one shared chain, full query per sample (Alg. 3 baseline)
+//   until     — serial or parallel chains, sampled only until every
+//               answer's marginals are within ±eps (ExecutionPolicy::Until)
 //
 // Thread-safety contract: a Session is externally synchronized — call it
 // from one thread at a time (the parallel policy uses worker threads
@@ -75,11 +77,7 @@ struct ExecutionPolicy {
   /// Absolute marginal-probability half-width target: stop when every
   /// tuple's marginal carries z(confidence)·SE ≤ eps.
   double eps = 0.01;
-  /// Samples per chain per round between convergence checks. Constant
-  /// across rounds (the cross-chain estimator needs equal-length chains);
-  /// escalation doubles the chain count, not the round length.
-  uint64_t samples_per_round = 32;
-  /// Ladder height: how many times Run() may double the chain count after
+  /// Ladder height: how many times the chain count may double after
   /// starting at num_chains (multi-chain variant only). 3 ⇒ B,2B,4B,8B.
   size_t max_escalations = 3;
   /// Samples a query must observe before it may be declared converged.
@@ -114,10 +112,13 @@ struct ExecutionPolicy {
   /// are within ±eps at `confidence`, or the Run() budget runs out. With
   /// num_chains == 1 the session's shared chain tracks batched-means
   /// standard errors and converged views freeze (drained from the delta
-  /// fan-out); with num_chains ≥ 2 rounds of COW chains feed a cross-chain
-  /// estimator and the chain count doubles per escalation while the bound
-  /// is unmet. All stopping decisions are functions of the sample stream
-  /// alone — repeated runs at one seed are bitwise-identical.
+  /// fan-out); with num_chains ≥ 2 rounds of COW chains, each
+  /// Session::kSamplesPerRound long, feed a cross-chain estimator, and
+  /// rounds run only while the bound is unmet. The escalation ladder:
+  /// round r (1-based) runs num_chains · 2^min(r−1, max_escalations)
+  /// chains, however the rounds are split across Run()/RunQuantum() calls.
+  /// All stopping decisions are functions of the sample stream alone —
+  /// repeated runs at one seed are bitwise-identical.
   static ExecutionPolicy Until(double confidence, double eps,
                                size_t num_chains = 4,
                                size_t max_threads = 0) {
@@ -232,7 +233,8 @@ struct QueryProgress {
   /// Per-tuple marginal ± standard error, sorted by tuple.
   std::vector<TupleEstimate> estimates;
   /// Escalation-ladder position (multi-chain variant): rounds completed and
-  /// the chain count of the most recent round.
+  /// the chain count of the most recent round (num_chains before the first
+  /// round; 1 under the single-chain variant).
   uint64_t rounds = 0;
   size_t chains = 0;
 };
@@ -282,29 +284,36 @@ class Session {
   }
 
   /// Advances the session by `samples` collected samples per registered
-  /// query: one shared chain under serial/naive, `num_chains` chains each
-  /// maintaining every view under parallel (merged as they finish).
+  /// query: RunQuantum() in a loop until this call has drawn `samples` or
+  /// a quantum draws nothing.
   ///
   /// Under the until policy, `samples` is a BUDGET, not a target: sampling
   /// stops as soon as every registered query's marginals are within ±eps at
-  /// the configured confidence, and a multi-chain round in flight finishes
-  /// before the budget is re-checked against the samples drawn by this call
-  /// (so the call may overshoot by up to one round). Escalation state
-  /// persists across Run() calls.
+  /// the configured confidence, and a multi-chain round finishes before the
+  /// budget is re-checked against the samples drawn by this call (so the
+  /// call may overshoot by up to one round). A converged session draws
+  /// nothing.
   void Run(uint64_t samples);
 
-  /// Scheduler entry point (the serve layer's quantum): advances the
-  /// session by AT MOST `max_samples` collected samples and returns the
-  /// count actually drawn this call. Resident-chain policies (serial,
-  /// naive, until at one chain) advance sample by sample, so a sequence of
-  /// quanta at a fixed seed is bitwise-identical to one Run() of their sum
-  /// — interleaving many sessions' quanta cannot perturb any one session's
-  /// chain. Multi-chain policies advance one round per call (`max_samples`
-  /// per chain under parallel; `samples_per_round` — the estimator's fixed
-  /// round length — under until, escalating the ladder after an unconverged
-  /// round, so the return may exceed `max_samples`). Returns 0 when the
-  /// until policy already holds its bound: a converged session has no work.
+  /// Scheduler entry point (the serve layer's quantum) and the one place a
+  /// policy runs: advances the session by AT MOST `max_samples` collected
+  /// samples and returns the count actually drawn this call. Resident-chain
+  /// policies (serial, naive, sharded, until at one chain) advance sample by
+  /// sample, so a sequence of quanta at a fixed seed is bitwise-identical to
+  /// one Run() of their sum — interleaving many sessions' quanta cannot
+  /// perturb any one session's chain. Multi-chain policies advance one
+  /// round per call: `max_samples` per chain under parallel, and under
+  /// until kSamplesPerRound per chain on the ladder's next rung (the
+  /// estimator's fixed round length, so the return may exceed
+  /// `max_samples`). Returns 0 when the until policy already holds its
+  /// bound: a converged session has no work.
   uint64_t RunQuantum(uint64_t max_samples);
+
+  /// Samples per chain in one multi-chain until round, between convergence
+  /// checks. Constant across rounds (the cross-chain estimator needs
+  /// equal-length chains); escalation doubles the chain count, not the
+  /// round length.
+  static constexpr uint64_t kSamplesPerRound = 32;
 
   /// Until policy: true once every registered query satisfied the bound.
   bool converged() const;
@@ -353,15 +362,10 @@ class Session {
   };
 
   QueryProgress SnapshotSlot(size_t slot) const;
-  /// Cumulative sample count of the multi-chain result state (max across
-  /// registered queries, under the results lock).
-  uint64_t CurrentMultiSamples() const;
-  /// One round of B COW chains folded into the session state (under the
-  /// results lock); returns the per-query sample count after the fold.
-  uint64_t RunParallelRound(uint64_t samples_per_chain, size_t num_chains,
-                            bool track_stats);
-  /// The until policy's multi-chain driver: rounds + escalation ladder.
-  void RunUntilMultiChain(uint64_t max_samples);
+  /// One round of `num_chains` COW chains folded into the session state
+  /// (under the results lock); returns the samples it added to every
+  /// registered query, num_chains · samples_per_chain.
+  uint64_t RunParallelRound(uint64_t samples_per_chain, size_t num_chains);
 
   SessionOptions options_;
   /// The session's private copy-on-write world (serial/naive chains run on
@@ -389,11 +393,11 @@ class Session {
   /// synchronized.
   mutable std::mutex results_mu_;
 
-  // Until-policy ladder state (multi-chain variant); persists across Run().
-  double until_z_ = 0.0;  // ZForConfidence(policy.confidence)
-  size_t until_chains_ = 0;       // current rung (0 until first Run)
-  size_t until_escalations_ = 0;  // rungs climbed so far
-  uint64_t until_rounds_ = 0;     // completed rounds
+  // Until-policy ladder state (multi-chain variant), written together
+  // under results_mu_ when a round is folded.
+  double until_z_ = 0.0;      // ZForConfidence(policy.confidence)
+  size_t until_chains_ = 0;   // most recent round's chains (num_chains before)
+  uint64_t until_rounds_ = 0; // completed rounds
 };
 
 }  // namespace api

@@ -61,7 +61,7 @@ ChainResult RunChain(const ProbabilisticDatabase& pdb,
     evaluator.EnableSharding(*options.shard_plan, exec);
   }
   for (const ra::PlanNode* plan : plans) evaluator.AddQuery(plan);
-  evaluator.Run(options.samples_per_chain);
+  evaluator.RunQuantum(options.samples_per_chain);
   ChainResult result;
   result.answers.reserve(plans.size());
   for (size_t q = 0; q < plans.size(); ++q) {

@@ -84,9 +84,6 @@ class SharedChainEvaluator {
   /// perturbing any single tenant's trajectory.
   uint64_t RunQuantum(uint64_t max_samples);
 
-  /// RunQuantum(n), discarding the count.
-  void Run(uint64_t n) { RunQuantum(n); }
-
   /// Switches the chain to run-until-error-bound mode: every registered
   /// query tracks per-tuple batched-means standard errors, and a query
   /// whose answer is within ±eps at the requested confidence freezes — its

@@ -114,6 +114,15 @@ TEST(AdaptiveInferenceTest, UntilMatchesExhaustiveRunWithinEps) {
   }
   adaptive->Run(/*budget=*/4000);
   EXPECT_TRUE(adaptive->converged());
+  // Converged is final: a further Run() draws no round, as
+  // SerialUntilFreezesConvergedViews checks for one chain.
+  std::vector<api::QueryProgress> settled;
+  for (const api::ResultHandle& h : handles) settled.push_back(h.Snapshot());
+  adaptive->Run(50);
+  for (size_t q = 0; q < handles.size(); ++q) {
+    EXPECT_EQ(handles[q].Snapshot().samples, settled[q].samples);
+    EXPECT_EQ(handles[q].Snapshot().rounds, settled[q].rounds);
+  }
 
   // Exhaustive oracle: one long serial chain over the same bundle.
   auto exhaustive = api::Session::Open(
@@ -272,17 +281,20 @@ TEST(AdaptiveInferenceTest, SerialUntilFreezesConvergedViews) {
 
 TEST(AdaptiveInferenceTest, EscalationDoublesChainsWhileBoundUnmet) {
   // eps = 1e-7 is unreachable, so every round ends unconverged and the
-  // ladder climbs: 2 chains → 4 → 8, then the budget check stops the loop.
-  // Round r adds chains·samples_per_round samples: 64, +128, +256 = 448
-  // total ≥ the 300 budget after round 3. All deterministic, so the
-  // assertions are exact.
+  // ladder climbs: round r runs 2·2^min(r−1, 3) chains, so 2 → 4 → 8, then
+  // the budget check stops the loop. Round r adds chains·kSamplesPerRound
+  // samples: 64, +128, +256 = 448 total ≥ the 300 budget after round 3.
+  // All deterministic, so the assertions are exact.
   NerFixture fixture(300);
-  auto session = api::Session::Open(
-      {.database = fixture.tokens.pdb.get(),
-       .proposal_factory = fixture.MakeFactory(),
-       .evaluator = {.steps_per_sample = 200, .burn_in = 400, .seed = 6},
-       .policy = api::ExecutionPolicy::Until(0.95, /*eps=*/1e-7,
-                                             /*num_chains=*/2)});
+  auto open = [&fixture] {
+    return api::Session::Open(
+        {.database = fixture.tokens.pdb.get(),
+         .proposal_factory = fixture.MakeFactory(),
+         .evaluator = {.steps_per_sample = 200, .burn_in = 400, .seed = 6},
+         .policy = api::ExecutionPolicy::Until(0.95, /*eps=*/1e-7,
+                                               /*num_chains=*/2)});
+  };
+  auto session = open();
   api::ResultHandle handle = session->Register(ie::kQuery1);
   session->Run(/*budget=*/300);
   EXPECT_FALSE(session->converged());
@@ -297,20 +309,39 @@ TEST(AdaptiveInferenceTest, EscalationDoublesChainsWhileBoundUnmet) {
   for (const api::TupleEstimate& est : progress.estimates) {
     EXPECT_LT(est.standard_error, std::numeric_limits<double>::infinity());
   }
-  // The ladder persists across Run() calls: the next round starts at 8
-  // chains and keeps climbing only if escalations remain (max was 3,
-  // already spent at 2→4→8... one rung left from the default 3).
+  // The ladder is a function of the round index alone, so a call boundary
+  // skips no rung: round 4 runs at 16 chains, the last of the default 3
+  // escalations.
   session->Run(/*budget=*/1);
   EXPECT_EQ(handle.Snapshot().rounds, 4u);
-  EXPECT_EQ(handle.Snapshot().samples, 448u + 8u * 32u);
+  EXPECT_EQ(handle.Snapshot().samples, 448u + 16u * 32u);
+  EXPECT_EQ(handle.Snapshot().chains, 16u);
+
+  // A twin driven by four one-round quanta climbs the same ladder and lands
+  // on the same state bitwise. After its first quantum `chains` reports the
+  // round that ran, not the next rung.
+  auto twin = open();
+  api::ResultHandle twin_handle = twin->Register(ie::kQuery1);
+  EXPECT_EQ(twin->RunQuantum(1), 2u * 32u);
+  EXPECT_EQ(twin_handle.Snapshot().rounds, 1u);
+  EXPECT_EQ(twin_handle.Snapshot().chains, 2u);
+  for (int quantum = 0; quantum < 3; ++quantum) twin->RunQuantum(1);
+  const api::QueryProgress run_end = handle.Snapshot();
+  const api::QueryProgress twin_end = twin_handle.Snapshot();
+  EXPECT_EQ(twin_end.rounds, run_end.rounds);
+  EXPECT_EQ(twin_end.chains, run_end.chains);
+  EXPECT_EQ(twin_end.samples, run_end.samples);
+  EXPECT_EQ(twin_end.max_half_width, run_end.max_half_width);
+  ExpectBitwiseEqual(twin_end.answer, run_end.answer, "four quanta");
+
   // The budget counts the samples THIS call draws, not the session's
-  // lifetime total (704 here, already past 300): one 8-chain round adds
-  // 256 < 300, so the ladder climbs to 16 chains and a second round runs.
+  // lifetime total (960 here, already past 300): one 16-chain round adds
+  // 512 ≥ 300, and the ladder stays at its top rung.
   const uint64_t before = handle.Snapshot().samples;
   session->Run(/*budget=*/300);
   EXPECT_FALSE(session->converged());
   EXPECT_GE(handle.Snapshot().samples - before, 300u);
-  EXPECT_EQ(handle.Snapshot().samples, before + 8u * 32u + 16u * 32u);
+  EXPECT_EQ(handle.Snapshot().samples, before + 16u * 32u);
   EXPECT_EQ(handle.Snapshot().chains, 16u);
 }
 

@@ -556,7 +556,7 @@ TEST(CompiledScoringTest, SharedChainBatchedMirrorMatchesPerStepOnQueries) {
     plans.push_back(sql::PlanQuery(query, batched_pdb.db()));
     batched.AddQuery(plans.back().get());
   }
-  batched.Run(kSamples);
+  batched.RunQuantum(kSamples);
   EXPECT_GE(largest_flush, infer::MetropolisHastings::kMirrorBatchLimit);
 
   DocumentBatchProposal per_step_proposal(&fixture.tokens.docs, batch);

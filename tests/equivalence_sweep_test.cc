@@ -63,8 +63,8 @@ TEST_P(EquivalenceSweep, NaiveEqualsMaterializedOnIdenticalChains) {
                                          options);
   naive.AddQuery(plan_a.get());
   materialized.AddQuery(plan_b.get());
-  naive.Run(25);
-  materialized.Run(25);
+  naive.RunQuantum(25);
+  materialized.RunQuantum(25);
   EXPECT_EQ(naive.answer(0).SquaredError(materialized.answer(0)), 0.0)
       << "query " << query << " seed " << seed << " bio=" << bio_kernel;
 }

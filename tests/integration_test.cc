@@ -47,7 +47,7 @@ TEST(IntegrationTest, TrainedPipelineAnswersQuery1Accurately) {
       tokens.pdb.get(), &proposal,
       {.steps_per_sample = 1000, .burn_in = 30000, .seed = 23});
   evaluator.AddQuery(plan.get());
-  evaluator.Run(150);
+  evaluator.RunQuantum(150);
 
   // 4. Strings that are truly always B-PER should have high marginals;
   //    strings never labeled person should have low marginals.
@@ -189,7 +189,7 @@ TEST(IntegrationTest, AggregateAnswerDistributionIsPeaked) {
       tokens.pdb.get(), &proposal,
       {.steps_per_sample = 500, .burn_in = 40000, .seed = 97});
   evaluator.AddQuery(plan.get());
-  evaluator.Run(400);
+  evaluator.RunQuantum(400);
   // Mass within ±10% of the mean count should dominate.
   const auto answer = evaluator.answer(0).Sorted();
   double mean = 0.0;

@@ -139,7 +139,7 @@ TEST(EvaluatorTest, AnswersConvergeWithMoreSamples) {
       fixture.tokens.pdb.get(), &proposal,
       {.steps_per_sample = 200, .burn_in = 4000, .seed = 3});
   evaluator.AddQuery(plan.get());
-  evaluator.Run(300);
+  evaluator.RunQuantum(300);
   // At least one person-name string should be (nearly) always in the answer.
   double best = 0.0;
   for (const auto& [tuple, p] : evaluator.answer(0).Sorted()) {
@@ -164,8 +164,8 @@ TEST(EvaluatorTest, CurrentAnswerSetMatchesBetweenEvaluators) {
                                 {.steps_per_sample = 100, .seed = 5});
   naive.AddQuery(plan_a.get());
   mat.AddQuery(plan_b.get());
-  naive.Run(5);
-  mat.Run(5);
+  naive.RunQuantum(5);
+  mat.RunQuantum(5);
   auto sa = naive.CurrentAnswerSet(0);
   auto sb = mat.CurrentAnswerSet(0);
   std::sort(sa.begin(), sa.end());
@@ -184,7 +184,7 @@ TEST(EvaluatorTest, ThinningIntervalStaysFixed) {
       fixture.tokens.pdb.get(), &proposal,
       {.steps_per_sample = 500, .burn_in = 300});
   evaluator.AddQuery(plan.get());
-  evaluator.Run(10);
+  evaluator.RunQuantum(10);
   EXPECT_EQ(evaluator.steps_per_sample(), 500u);
   EXPECT_EQ(evaluator.num_proposed(), 300u + 10u * 500u);
   EXPECT_EQ(evaluator.RunQuantum(7), 7u);
@@ -194,9 +194,9 @@ TEST(EvaluatorTest, ThinningIntervalStaysFixed) {
 }
 
 TEST(EvaluatorTest, QuantaReplayOneRunBitwise) {
-  // Run(n) is RunQuantum(n), and quanta compose: 5 + 4 + 3 samples at one
-  // seed walk the same chain as Run(12), so Queries 1-4 sharing that chain
-  // end on bitwise-identical marginals. The serve scheduler relies on this
+  // Quanta compose: 5 + 4 + 3 samples at one seed walk the same chain as
+  // one RunQuantum(12), so Queries 1-4 sharing that chain end on
+  // bitwise-identical marginals. The serve scheduler relies on this
   // to slice a tenant's budget without perturbing its trajectory.
   NerFixture fixture(400);
   auto world_a = fixture.tokens.pdb->Clone();
@@ -215,7 +215,7 @@ TEST(EvaluatorTest, QuantaReplayOneRunBitwise) {
     plans.push_back(sql::PlanQuery(query, world_b->db()));
     sliced.AddQuery(plans.back().get());
   }
-  whole.Run(12);
+  whole.RunQuantum(12);
   for (const uint64_t quantum : {5u, 4u, 3u}) {
     EXPECT_EQ(sliced.RunQuantum(quantum), quantum);
   }

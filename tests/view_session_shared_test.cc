@@ -84,7 +84,7 @@ TEST(SessionSharedChainTest, QueryBundleMatchesStandaloneRunsBitwise) {
                                        {.proposals_per_batch = 300});
     pdb::SharedChainEvaluator standalone(world.get(), &proposal, options);
     standalone.AddQuery(plan.get());
-    standalone.Run(30);
+    standalone.RunQuantum(30);
     ExpectBitwiseEqual(handles[q].Snapshot().answer, standalone.answer(0),
                        query);
   }
@@ -146,7 +146,7 @@ TEST(SessionSharedChainTest, MidRunRegistrationMatchesLateStartedChain) {
       world.get(), &proposal,
       {.steps_per_sample = 250, .burn_in = 500 + 10 * 250, .seed = 9});
   standalone.AddQuery(plan.get());
-  standalone.Run(20);
+  standalone.RunQuantum(20);
   ExpectBitwiseEqual(late.Snapshot().answer, standalone.answer(0),
                      ie::kQuery3);
 }
