@@ -23,11 +23,34 @@ namespace pdb {
 
 /// Marginal tuple probabilities: count of samples containing each tuple,
 /// normalized by the number of samples (paper Alg. 1 lines m, z).
+///
+/// Two folds feed the counts; one answer uses one of them.
+///  * Sojourn fold (Alg. 1, materialized views): a tuple's membership only
+///    changes where its view multiplicity crosses 0, so the evaluator calls
+///    Enter/Leave at those crossings and ObserveSample() once per sample.
+///    Per tuple the answer keeps the samples of its closed runs plus the
+///    sample count at which its open run began; every read adds the open
+///    run. A sample that moves no tuple costs O(1) to observe.
+///  * Full fold (Alg. 3): ObserveSampleContaining(answer set) per sample.
+/// Runs are measured on this answer's own num_samples(), so an answer that
+/// stops observing (a frozen query) stops counting its open runs too.
+/// Counts are integers either way: both folds of one chain give bitwise
+/// equal marginals.
 class QueryAnswer {
  public:
-  /// Records one sample's answer set (distinct tuples only; a tuple's
-  /// multiplicity within one world does not change membership).
+  /// Full fold: records one sample's answer set (distinct tuples only; a
+  /// tuple's multiplicity within one world does not change membership).
   void ObserveSampleContaining(const std::vector<Tuple>& distinct_tuples);
+
+  /// Sojourn fold: `tuple` joined the current world's answer (its run
+  /// counts from the next observed sample on). Fatal if already in.
+  void Enter(const Tuple& tuple);
+  /// Sojourn fold: `tuple` left the current world's answer. Fatal if not
+  /// in it.
+  void Leave(const Tuple& tuple);
+  /// Sojourn fold: records one sample of the current world, counting every
+  /// tuple whose run is open.
+  void ObserveSample() { ++num_samples_; }
 
   /// Marginal probability of `tuple` being in the answer.
   double Probability(const Tuple& tuple) const;
@@ -42,14 +65,19 @@ class QueryAnswer {
   uint64_t num_samples() const { return num_samples_; }
 
   /// Merges counts from another answer over the same query — used to
-  /// average parallel chains (paper §5.4).
+  /// average parallel chains (paper §5.4). This answer's open runs stay
+  /// open but count only its own later samples.
   void Merge(const QueryAnswer& other);
 
   /// Applies fn(tuple, count) to every tuple's raw sample count (the
-  /// integer numerator of Probability). Iteration order is unspecified.
+  /// integer numerator of Probability), skipping tuples never observed.
+  /// Iteration order is unspecified.
   void ForEachCount(
       const std::function<void(const Tuple&, uint64_t)>& fn) const {
-    for (const auto& [tuple, count] : counts_) fn(tuple, count);
+    for (const auto& [tuple, sojourn] : sojourns_) {
+      const uint64_t count = Count(sojourn);
+      if (count > 0) fn(tuple, count);
+    }
   }
 
   /// Element-wise squared error against another answer (the paper's
@@ -57,7 +85,22 @@ class QueryAnswer {
   double SquaredError(const QueryAnswer& truth) const;
 
  private:
-  std::unordered_map<Tuple, uint64_t, TupleHasher> counts_;
+  static constexpr uint64_t kOut = ~uint64_t{0};
+
+  struct Sojourn {
+    /// Samples counted by closed runs (and by the full fold).
+    uint64_t count = 0;
+    /// num_samples_ when the open run began; kOut when not in the answer.
+    uint64_t entered_at = kOut;
+  };
+
+  uint64_t Count(const Sojourn& sojourn) const {
+    return sojourn.entered_at == kOut
+               ? sojourn.count
+               : sojourn.count + (num_samples_ - sojourn.entered_at);
+  }
+
+  std::unordered_map<Tuple, Sojourn, TupleHasher> sojourns_;
   uint64_t num_samples_ = 0;
 };
 

@@ -82,8 +82,10 @@ size_t SharedChainEvaluator::AddQuery(const ra::PlanNode* plan) {
       // new view against the same world. No sample is observed here —
       // registration never advances any query's marginals.
       pdb_->TakeDeltas(&delta_buf_);
-      for (Slot& existing : slots_) existing.view->Apply(delta_buf_);
-      slot.view->Initialize(pdb_->db());
+      for (Slot& existing : slots_) {
+        FoldDelta(existing.view->Apply(delta_buf_), &existing);
+      }
+      InitializeView(&slot);
     }
   }
   slots_.push_back(std::move(slot));
@@ -108,7 +110,7 @@ void SharedChainEvaluator::Initialize() {
   if (materialized_) {
     // The one exhaustive query per view over the initial world (Alg. 1
     // line 2) — K queries share the burn-in above.
-    for (Slot& slot : slots_) slot.view->Initialize(pdb_->db());
+    for (Slot& slot : slots_) InitializeView(&slot);
   }
   initialized_ = true;
 }
@@ -124,15 +126,35 @@ bool SharedChainEvaluator::ViewTouched(const view::MaterializedView& view,
   return touched;
 }
 
+void SharedChainEvaluator::InitializeView(Slot* slot) {
+  slot->view->Initialize(pdb_->db());
+  slot->view->contents().ForEach(
+      [&](const Tuple& t, int64_t) { slot->answer.Enter(t); });
+}
+
+void SharedChainEvaluator::FoldDelta(const view::DeltaMultiset& delta,
+                                     Slot* slot) {
+  const view::DeltaMultiset& contents = slot->view->contents();
+  delta.ForEach([&](const Tuple& t, int64_t change) {
+    const int64_t now = contents.Count(t);
+    const int64_t before = now - change;
+    if (before == 0 && now > 0) {
+      slot->answer.Enter(t);
+    } else if (before > 0 && now == 0) {
+      slot->answer.Leave(t);
+    }
+  });
+}
+
 void SharedChainEvaluator::ObserveSample(Slot* slot) {
-  std::vector<Tuple> distinct;
   if (materialized_) {
-    distinct.reserve(slot->view->contents().distinct_size());
-    slot->view->contents().ForEach(
-        [&](const Tuple& t, int64_t) { distinct.push_back(t); });
-  } else {
-    distinct = DistinctTuples(ra::Execute(*slot->plan, pdb_->db()));
+    // Membership already moved in FoldDelta; only the error tracker needs
+    // the answer set itself.
+    slot->answer.ObserveSample();
+    if (slot->stats != nullptr) slot->stats->ObserveSample(AnswerSet(*slot));
+    return;
   }
+  const std::vector<Tuple> distinct = AnswerSet(*slot);
   slot->answer.ObserveSampleContaining(distinct);
   if (slot->stats != nullptr) slot->stats->ObserveSample(distinct);
 }
@@ -210,7 +232,7 @@ void SharedChainEvaluator::DrawSample() {
   for (Slot& slot : slots_) {
     if (slot.converged) continue;  // drained: paused view, no apply cost
     if (ViewTouched(*slot.view, delta_buf_)) {
-      slot.view->Apply(delta_buf_);
+      FoldDelta(slot.view->Apply(delta_buf_), &slot);
     } else {
       ++views_skipped_;
     }
@@ -222,15 +244,19 @@ void SharedChainEvaluator::DrawSample() {
   }
 }
 
-std::vector<Tuple> SharedChainEvaluator::CurrentAnswerSet(size_t slot) const {
-  const Slot& s = slots_.at(slot);
-  if (materialized_) {
-    std::vector<Tuple> distinct;
-    s.view->contents().ForEach(
-        [&](const Tuple& t, int64_t) { distinct.push_back(t); });
-    return distinct;
+std::vector<Tuple> SharedChainEvaluator::AnswerSet(const Slot& slot) const {
+  if (!materialized_) {
+    return DistinctTuples(ra::Execute(*slot.plan, pdb_->db()));
   }
-  return DistinctTuples(ra::Execute(*s.plan, pdb_->db()));
+  std::vector<Tuple> distinct;
+  distinct.reserve(slot.view->contents().distinct_size());
+  slot.view->contents().ForEach(
+      [&](const Tuple& t, int64_t) { distinct.push_back(t); });
+  return distinct;
+}
+
+std::vector<Tuple> SharedChainEvaluator::CurrentAnswerSet(size_t slot) const {
+  return AnswerSet(slots_.at(slot));
 }
 
 const view::MaterializedView& SharedChainEvaluator::materialized_view(

@@ -11,6 +11,12 @@
 // SharedChainEvaluator is the one evaluation loop: Algorithm 1 (views
 // maintained through Δ−/Δ+) or Algorithm 3 (materialized=false: the full
 // query re-run over every sampled world), for one registered plan or many.
+// Under Algorithm 1 the marginal counts follow the views' output deltas
+// too (the sojourn fold, QueryAnswer::Enter/Leave): a tuple's run opens
+// when its view multiplicity rises from 0 and closes when it falls back to
+// 0, so observing a sample costs O(tuples crossing 0), not O(|answer|).
+// Algorithm 3 has no deltas and folds each sample's whole answer set
+// (QueryAnswer::ObserveSampleContaining).
 // Stepwise (Initialize + DrawSample), so callers can record
 // loss-versus-time series — how the paper's figures are measured. It is
 // the engine under api::Session (the public front door), serve::Server,
@@ -70,8 +76,11 @@ class SharedChainEvaluator {
   bool initialized() const { return initialized_; }
 
   /// Advances the chain k steps, drains the delta accumulator once, fans
-  /// the DeltaSet out to every subscribed view, and folds each view's
-  /// answer set into its marginal counts.
+  /// the DeltaSet out to every subscribed view, and observes one sample per
+  /// live query. Alg. 1: each view's output delta opens or closes the runs
+  /// of the tuples whose multiplicity crossed 0, so a view the deltas did
+  /// not touch costs O(1) to observe. Alg. 3: the full query's answer set
+  /// is folded.
   void DrawSample();
 
   /// The sampling loop: initialize if needed, then draw at most
@@ -178,9 +187,17 @@ class SharedChainEvaluator {
     bool converged = false;
   };
 
-  /// Folds `slot`'s current answer set into its marginal counts (and the
-  /// error tracker when tracking).
+  /// Runs `slot`'s one full view evaluation and opens a run for every
+  /// tuple in it.
+  void InitializeView(Slot* slot);
+  /// Opens or closes the runs of the tuples whose multiplicity in `slot`'s
+  /// view crossed 0 under `delta`, the view's latest output delta.
+  void FoldDelta(const view::DeltaMultiset& delta, Slot* slot);
+  /// Counts one sample into `slot`'s marginals (and the error tracker when
+  /// tracking).
   void ObserveSample(Slot* slot);
+  /// Distinct tuples in the current world's answer for `slot`.
+  std::vector<Tuple> AnswerSet(const Slot& slot) const;
   /// Freezes `slot` if the error bound holds; updates the union map.
   void MaybeFreeze(Slot* slot);
   /// True if any table with a non-empty delta in `deltas` is subscribed to

@@ -13,6 +13,7 @@
 //                   ConcurrentSnapshot test).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -275,6 +276,47 @@ TEST(AdaptiveInferenceTest, SerialUntilFreezesConvergedViews) {
   for (size_t q = 0; q < handles.size(); ++q) {
     EXPECT_EQ(handles[q].Snapshot().samples, frozen_samples[q]);
   }
+}
+
+TEST(AdaptiveInferenceTest, FrozenAnswerIsIndependentOfQueriesSharingItsChain) {
+  // At eps = 0.05 the four queries freeze at different samples (64, 960,
+  // 7168 and 11264 at this seed) while the chain keeps running for the
+  // rest. A frozen answer observes no further sample, so its tuples' open
+  // runs stop counting too: each answer must be bitwise the answer of a
+  // session that runs its query alone, which stops at the freeze.
+  NerFixture fixture(300);
+  auto open = [&fixture] {
+    return api::Session::Open(
+        {.database = fixture.tokens.pdb.get(),
+         .proposal_factory = fixture.MakeFactory(),
+         .evaluator = {.steps_per_sample = 250, .burn_in = 500, .seed = 11},
+         .policy = api::ExecutionPolicy::Until(0.95, /*eps=*/0.05,
+                                               /*num_chains=*/1)});
+  };
+  const uint64_t budget = 20000;
+  auto shared = open();
+  std::vector<api::ResultHandle> handles;
+  for (const char* query : PaperQueries()) {
+    handles.push_back(shared->Register(query));
+  }
+  shared->Run(budget);
+  ASSERT_TRUE(shared->converged());
+  uint64_t first_freeze = budget;
+  uint64_t last_freeze = 0;
+  for (size_t q = 0; q < handles.size(); ++q) {
+    auto alone = open();
+    api::ResultHandle handle = alone->Register(PaperQueries()[q]);
+    alone->Run(budget);
+    const api::QueryProgress got = handles[q].Snapshot();
+    const api::QueryProgress want = handle.Snapshot();
+    EXPECT_TRUE(want.converged) << PaperQueries()[q];
+    EXPECT_EQ(got.samples, want.samples) << PaperQueries()[q];
+    ExpectBitwiseEqual(got.answer, want.answer, PaperQueries()[q]);
+    first_freeze = std::min(first_freeze, got.samples);
+    last_freeze = std::max(last_freeze, got.samples);
+  }
+  // Some answer stayed frozen while another query kept sampling.
+  EXPECT_LT(first_freeze, last_freeze);
 }
 
 // --- Escalation ladder ------------------------------------------------------

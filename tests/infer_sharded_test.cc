@@ -6,6 +6,8 @@
 //   * fixed S > 1 bitwise reproducibility: repeated threaded runs, and
 //     threaded vs sequential stepping, must agree bitwise (the fixed-order
 //     merge discipline),
+//   * S > 1 Alg. 1 vs Alg. 3 — views maintained from the merged delta
+//     stream must answer bitwise like the full query re-run per sample,
 //   * locality fallback — a cross-partition model (EntityResolutionModel)
 //     refuses sharding and degrades to the exact single-shard plan,
 //   * concurrent shard stepping under TSan (this suite runs in the
@@ -169,27 +171,26 @@ TEST(ShardedInferenceTest, SingleShardSessionBitwiseMatchesSerial) {
 }
 
 // One sharded run's per-query answers at a fixed seed (fresh world, fresh
-// session). S > 1 and thread toggles vary; the answers must not.
-std::vector<pdb::QueryAnswer> RunShardedBundle(size_t num_shards,
-                                               bool use_threads,
-                                               uint64_t corpus_seed,
-                                               uint64_t chain_seed) {
+// session). S > 1, thread toggles and Alg. 1 vs Alg. 3 vary; the answers
+// must not.
+std::vector<pdb::QueryAnswer> RunShardedBundle(
+    const api::ExecutionPolicy& policy, uint64_t corpus_seed,
+    uint64_t chain_seed, uint64_t steps_per_sample = 400,
+    uint64_t samples = 20) {
   NerFixture fixture(480, corpus_seed);  // 8 documents.
-  api::ExecutionPolicy policy = api::ExecutionPolicy::Sharded(num_shards);
-  policy.use_threads = use_threads;
   auto session = api::Session::Open(
       {.database = fixture.tokens.pdb.get(),
-       .shard_plan = fixture.MakePlan(num_shards),
-       .evaluator = {.steps_per_sample = 400,
+       .shard_plan = fixture.MakePlan(policy.num_shards),
+       .evaluator = {.steps_per_sample = steps_per_sample,
                      .burn_in = 800,
                      .seed = chain_seed},
        .policy = policy});
-  EXPECT_EQ(session->num_shards(), num_shards);
+  EXPECT_EQ(session->num_shards(), policy.num_shards);
   std::vector<api::ResultHandle> handles;
   for (const char* query : PaperQueries()) {
     handles.push_back(session->Register(query));
   }
-  session->Run(20);
+  session->Run(samples);
   std::vector<pdb::QueryAnswer> answers;
   for (const api::ResultHandle& handle : handles) {
     answers.push_back(handle.Snapshot().answer);
@@ -198,14 +199,35 @@ std::vector<pdb::QueryAnswer> RunShardedBundle(size_t num_shards,
 }
 
 TEST(ShardedInferenceTest, FixedShardCountReproducibleAcrossThreadedRuns) {
-  const auto first = RunShardedBundle(4, /*use_threads=*/true, 21, 99);
-  const auto second = RunShardedBundle(4, /*use_threads=*/true, 21, 99);
-  const auto sequential = RunShardedBundle(4, /*use_threads=*/false, 21, 99);
+  const api::ExecutionPolicy threaded = api::ExecutionPolicy::Sharded(4);
+  api::ExecutionPolicy sequential = threaded;
+  sequential.use_threads = false;
+  const auto first = RunShardedBundle(threaded, 21, 99);
+  const auto second = RunShardedBundle(threaded, 21, 99);
+  const auto unthreaded = RunShardedBundle(sequential, 21, 99);
   ASSERT_EQ(first.size(), PaperQueries().size());
   for (size_t q = 0; q < first.size(); ++q) {
     ExpectBitwiseEqual(second[q], first[q], "threaded re-run");
-    ExpectBitwiseEqual(sequential[q], first[q], "sequential vs threaded");
+    ExpectBitwiseEqual(unthreaded[q], first[q], "sequential vs threaded");
   }
+}
+
+TEST(ShardedInferenceTest, ShardedViewsMatchShardedNaiveBitwise) {
+  // Alg. 1 (views, answers folded from their deltas) against Alg. 3 (the
+  // full query per sample) on one sharded chain. At k = 480, one proposal
+  // per token, many tuples cross in and out of the answers every sample.
+  const uint64_t k = 480;
+  const uint64_t samples = 60;
+  const auto views = RunShardedBundle(api::ExecutionPolicy::Sharded(4), 21,
+                                      99, k, samples);
+  const auto naive = RunShardedBundle(
+      api::ExecutionPolicy::Naive().WithShards(4), 21, 99, k, samples);
+  ASSERT_EQ(views.size(), PaperQueries().size());
+  for (size_t q = 0; q < views.size(); ++q) {
+    EXPECT_EQ(views[q].num_samples(), samples);
+    ExpectBitwiseEqual(views[q], naive[q], PaperQueries()[q]);
+  }
+  EXPECT_FALSE(views[0].Sorted().empty());
 }
 
 TEST(ShardedInferenceTest, ParallelReplicaChainsComposeWithShards) {

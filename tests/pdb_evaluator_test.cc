@@ -6,6 +6,10 @@
 // (serial = Alg. 1 views, naive = Alg. 3) on the unified front door.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <set>
+
 #include "api/session.h"
 #include "ie/corpus.h"
 #include "ie/ner_proposal.h"
@@ -127,6 +131,161 @@ TEST(QueryAnswerTest, SquaredErrorCoversBothSupports) {
   EXPECT_DOUBLE_EQ(b.SquaredError(a), 2.0);
 }
 
+// Drives a sojourn-fold answer (Enter/Leave at membership changes, then
+// ObserveSample) and a full-fold twin (ObserveSampleContaining the whole
+// answer set) through the same sequence of worlds.
+struct FoldTwins {
+  pdb::QueryAnswer sojourn;
+  pdb::QueryAnswer full;
+  std::set<Tuple> current;
+
+  void MoveTo(const std::set<Tuple>& next) {
+    for (const Tuple& t : current) {
+      if (next.count(t) == 0) sojourn.Leave(t);
+    }
+    for (const Tuple& t : next) {
+      if (current.count(t) == 0) sojourn.Enter(t);
+    }
+    current = next;
+  }
+
+  void Observe() {
+    sojourn.ObserveSample();
+    full.ObserveSampleContaining({current.begin(), current.end()});
+  }
+};
+
+std::map<Tuple, uint64_t> Counts(const pdb::QueryAnswer& answer) {
+  std::map<Tuple, uint64_t> counts;
+  answer.ForEachCount([&](const Tuple& t, uint64_t count) {
+    EXPECT_TRUE(counts.emplace(t, count).second) << t.ToString();
+  });
+  return counts;
+}
+
+// Every read of `got` equals the same read of `want`, bitwise.
+void ExpectSameReads(const pdb::QueryAnswer& got,
+                     const pdb::QueryAnswer& want,
+                     const std::vector<Tuple>& probes) {
+  EXPECT_EQ(got.num_samples(), want.num_samples());
+  EXPECT_EQ(got.Sorted(), want.Sorted());
+  EXPECT_EQ(got.TopK(2), want.TopK(2));
+  EXPECT_EQ(Counts(got), Counts(want));
+  for (const Tuple& t : probes) {
+    EXPECT_EQ(got.Probability(t), want.Probability(t)) << t.ToString();
+  }
+  EXPECT_EQ(got.SquaredError(want), 0.0);
+  EXPECT_EQ(want.SquaredError(got), 0.0);
+}
+
+std::vector<Tuple> SmallUniverse() {
+  std::vector<Tuple> universe;
+  for (int64_t i = 0; i < 6; ++i) universe.push_back(Tuple{Value::Int(i)});
+  return universe;
+}
+
+// Random walk over subsets of `universe`: each step flips one tuple's
+// membership, and 0-2 steps separate consecutive samples, so some tuples
+// enter and leave again between two observations.
+void Walk(FoldTwins* twins, const std::vector<Tuple>& universe,
+          size_t samples, uint32_t seed) {
+  std::mt19937 rng(seed);
+  for (size_t i = 0; i < samples; ++i) {
+    const int moves = static_cast<int>(rng() % 3);
+    for (int m = 0; m < moves; ++m) {
+      std::set<Tuple> next = twins->current;
+      const Tuple& t = universe[rng() % universe.size()];
+      if (next.erase(t) == 0) next.insert(t);
+      twins->MoveTo(next);
+    }
+    twins->Observe();
+  }
+}
+
+TEST(QueryAnswerTest, SojournFoldMatchesFullFold) {
+  const std::vector<Tuple> universe = SmallUniverse();
+  FoldTwins twins;
+  twins.MoveTo({universe[0], universe[1], universe[2]});
+  for (uint32_t seed : {1u, 2u, 3u}) {
+    Walk(&twins, universe, 50, seed);
+    ExpectSameReads(twins.sojourn, twins.full, universe);
+  }
+  // An answer that never changed membership still reads its whole run.
+  FoldTwins steady;
+  steady.MoveTo({universe[4]});
+  for (int i = 0; i < 7; ++i) steady.Observe();
+  ExpectSameReads(steady.sojourn, steady.full, universe);
+  EXPECT_DOUBLE_EQ(steady.sojourn.Probability(universe[4]), 1.0);
+}
+
+TEST(QueryAnswerTest, EnteredButUnobservedTupleIsInvisible) {
+  const Tuple a{Value::String("a")};
+  const Tuple b{Value::String("b")};
+  pdb::QueryAnswer answer;
+  answer.Enter(a);
+  EXPECT_TRUE(answer.Sorted().empty());
+  EXPECT_TRUE(answer.TopK(5).empty());
+  EXPECT_TRUE(Counts(answer).empty());
+  EXPECT_EQ(answer.Probability(a), 0.0);
+  EXPECT_EQ(answer.SquaredError(pdb::QueryAnswer{}), 0.0);
+
+  answer.ObserveSample();
+  // A run that opens and closes between two samples counts nothing.
+  answer.Enter(b);
+  answer.Leave(b);
+  answer.ObserveSample();
+  EXPECT_EQ(answer.Sorted(),
+            (std::vector<std::pair<Tuple, double>>{{a, 1.0}}));
+  EXPECT_EQ(answer.Probability(b), 0.0);
+  EXPECT_EQ(Counts(answer), (std::map<Tuple, uint64_t>{{a, 2}}));
+}
+
+TEST(QueryAnswerTest, MergeWithOpenRunsMatchesFullFoldMerge) {
+  const std::vector<Tuple> universe = SmallUniverse();
+  FoldTwins a, b;
+  a.MoveTo({universe[0], universe[1]});
+  b.MoveTo({universe[1], universe[5]});
+  Walk(&a, universe, 30, 7);
+  Walk(&b, universe, 20, 8);
+  ASSERT_FALSE(a.current.empty());
+  ASSERT_FALSE(b.current.empty());
+
+  // Open runs on both sides, merged into either side or into an empty
+  // answer (how parallel chains fold into one estimate).
+  pdb::QueryAnswer into_empty, into_empty_full;
+  into_empty.Merge(a.sojourn);
+  into_empty.Merge(b.sojourn);
+  into_empty_full.Merge(a.full);
+  into_empty_full.Merge(b.full);
+  ExpectSameReads(into_empty, into_empty_full, universe);
+
+  pdb::QueryAnswer b_into_a = a.sojourn;
+  b_into_a.Merge(b.sojourn);
+  pdb::QueryAnswer b_into_a_full = a.full;
+  b_into_a_full.Merge(b.full);
+  ExpectSameReads(b_into_a, b_into_a_full, universe);
+
+  // After the merge a's open runs go on counting a's own samples only.
+  a.sojourn.Merge(b.sojourn);
+  a.full.Merge(b.full);
+  Walk(&a, universe, 10, 9);
+  ExpectSameReads(a.sojourn, a.full, universe);
+}
+
+TEST(QueryAnswerTest, SojournMisuseIsFatal) {
+  const Tuple t{Value::Int(3)};
+  pdb::QueryAnswer entered;
+  entered.Enter(t);
+  EXPECT_DEATH(entered.Enter(t), "already in the answer");
+  pdb::QueryAnswer never_entered;
+  EXPECT_DEATH(never_entered.Leave(t), "not in the answer");
+  pdb::QueryAnswer left;
+  left.Enter(t);
+  left.ObserveSample();
+  left.Leave(t);
+  EXPECT_DEATH(left.Leave(t), "not in the answer");
+}
+
 TEST(EvaluatorTest, AnswersConvergeWithMoreSamples) {
   // The any-time property (paper §5.3): loss decreases with samples. We
   // check that a long run's marginal for a deterministic-ish tuple is more
@@ -225,6 +384,50 @@ TEST(EvaluatorTest, QuantaReplayOneRunBitwise) {
     EXPECT_EQ(sliced.answer(q).num_samples(), 12u) << "query " << q + 1;
     EXPECT_EQ(sliced.answer(q).Sorted(), whole.answer(q).Sorted())
         << "query " << q + 1;
+  }
+}
+
+TEST(EvaluatorTest, MidRunRegistrationFoldsPendingDeltas) {
+  // Steps taken outside a sample leave deltas in the accumulator. Adding a
+  // query drains them into the existing views first, and the tuples that
+  // drain moves in or out of Query 1's answer must open or close their
+  // runs there. Alg. 3 re-runs every query per sample, so its twin driven
+  // by the same calls is the reference.
+  NerFixture fixture(400);
+  auto world_a = fixture.tokens.pdb->Clone();
+  auto world_b = fixture.tokens.pdb->Clone();
+  ie::DocumentBatchProposal pa(&fixture.tokens.docs);
+  ie::DocumentBatchProposal pb(&fixture.tokens.docs);
+  const pdb::EvaluatorOptions options{
+      .steps_per_sample = 200, .burn_in = 400, .seed = 17};
+  pdb::SharedChainEvaluator mat(world_a.get(), &pa, options);
+  pdb::SharedChainEvaluator naive(world_b.get(), &pb, options,
+                                  /*materialized=*/false);
+  std::vector<ra::PlanPtr> plans;
+  auto add = [&plans](pdb::SharedChainEvaluator* evaluator,
+                      pdb::ProbabilisticDatabase* world, const char* query) {
+    plans.push_back(sql::PlanQuery(query, world->db()));
+    return evaluator->AddQuery(plans.back().get());
+  };
+  add(&mat, world_a.get(), ie::kQuery1);
+  add(&naive, world_b.get(), ie::kQuery1);
+  mat.RunQuantum(10);
+  naive.RunQuantum(10);
+  mat.sampler().Run(3000);
+  naive.sampler().Run(3000);
+  add(&mat, world_a.get(), ie::kQuery3);
+  add(&naive, world_b.get(), ie::kQuery3);
+  mat.RunQuantum(30);
+  naive.RunQuantum(30);
+
+  const uint64_t want_samples[] = {40, 30};
+  for (size_t q = 0; q < 2; ++q) {
+    EXPECT_EQ(mat.answer(q).num_samples(), want_samples[q]);
+    EXPECT_EQ(naive.answer(q).num_samples(), want_samples[q]);
+    EXPECT_FALSE(mat.answer(q).Sorted().empty()) << "query slot " << q;
+    EXPECT_EQ(mat.answer(q).Sorted(), naive.answer(q).Sorted())
+        << "query slot " << q;
+    EXPECT_EQ(mat.answer(q).SquaredError(naive.answer(q)), 0.0);
   }
 }
 
