@@ -61,13 +61,17 @@ int main(int argc, char** argv) {
     bench.tokens.pdb->DiscardDeltas();
   }
   const uint64_t k = std::max<uint64_t>(50, n / 500);
+  const pdb::ShardPlan targeted_plan = pdb::SerialPlan(
+      [&](pdb::ProbabilisticDatabase&) -> std::unique_ptr<infer::Proposal> {
+        return std::make_unique<infer::SubsetUniformProposal>(*bench.model,
+                                                              targeted);
+      });
   pdb::QueryAnswer truth;
   {
     auto world = bench.tokens.pdb->Clone();
     ra::PlanPtr plan = sql::PlanQuery(ie::kQuery4, world->db());
-    infer::SubsetUniformProposal proposal(*bench.model, targeted);
     pdb::SharedChainEvaluator evaluator(
-        world.get(), &proposal,
+        world.get(), targeted_plan,
         {.steps_per_sample = k, .burn_in = 0, .seed = DeriveSeed(master, 2)});
     evaluator.AddQuery(plan.get());
     evaluator.RunQuantum(20000);
@@ -86,9 +90,8 @@ int main(int argc, char** argv) {
     {
       auto world = bench.tokens.pdb->Clone();
       ra::PlanPtr plan = sql::PlanQuery(ie::kQuery4, world->db());
-      auto proposal = bench.MakeProposal();
       pdb::SharedChainEvaluator evaluator(
-          world.get(), proposal.get(),
+          world.get(), bench.MakeSerialPlan(),
           {.steps_per_sample = k, .burn_in = 0, .seed = kernel_seed});
       evaluator.AddQuery(plan.get());
       evaluator.RunQuantum(samples);
@@ -99,9 +102,8 @@ int main(int argc, char** argv) {
     {
       auto world = bench.tokens.pdb->Clone();
       ra::PlanPtr plan = sql::PlanQuery(ie::kQuery4, world->db());
-      infer::SubsetUniformProposal proposal(*bench.model, targeted);
       pdb::SharedChainEvaluator evaluator(
-          world.get(), &proposal,
+          world.get(), targeted_plan,
           {.steps_per_sample = k, .burn_in = 0, .seed = kernel_seed});
       evaluator.AddQuery(plan.get());
       evaluator.RunQuantum(samples);

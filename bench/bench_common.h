@@ -18,6 +18,7 @@
 #include "ie/queries.h"
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
+#include "pdb/shard_plan.h"
 #include "pdb/shared_chain.h"
 #include "sql/binder.h"
 #include "util/rng.h"
@@ -96,6 +97,15 @@ struct NerBench {
         &tokens.docs,
         ie::NerProposalOptions{.proposals_per_batch = proposals_per_batch});
   }
+
+  /// The serial chain's plan: one shard proposing through MakeProposal.
+  pdb::ShardPlan MakeSerialPlan(size_t proposals_per_batch = 2000) const {
+    return pdb::SerialPlan(
+        [this, proposals_per_batch](pdb::ProbabilisticDatabase&)
+            -> std::unique_ptr<infer::Proposal> {
+          return MakeProposal(proposals_per_batch);
+        });
+  }
 };
 
 /// Walk-steps needed to mix away from the all-'O' initialization. The §5.1
@@ -116,9 +126,8 @@ inline pdb::QueryAnswer EstimateGroundTruth(const NerBench& bench,
                                             uint64_t seed = 314159) {
   auto world = bench.tokens.pdb->Clone();
   ra::PlanPtr plan = sql::PlanQuery(query, world->db());
-  auto proposal = bench.MakeProposal();
   pdb::SharedChainEvaluator evaluator(
-      world.get(), proposal.get(),
+      world.get(), bench.MakeSerialPlan(),
       {.steps_per_sample = steps_per_sample,
        .burn_in = DefaultBurnIn(bench.tokens.num_tokens()),
        .seed = seed});

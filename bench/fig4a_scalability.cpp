@@ -18,9 +18,7 @@
 //   --tokens=N        sweep corpus size (default 1,000,000 x FGPDB_BENCH_SCALE)
 //   --shards=1,2,4    comma-separated shard counts (default 1,2,4,8,16,32)
 //   --sweep_steps=N   proposals measured per shard count (default 2,000,000)
-//   --shard_json=F    write the sweep as JSON (BENCH_pr8.json schema)
 //   --sweep_only      skip the time-to-half-error section (CI smoke)
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <thread>
@@ -43,7 +41,6 @@ constexpr uint64_t kStreamSweepChainBase = 101;
 
 struct SweepRow {
   size_t shards = 1;
-  size_t planned_shards = 1;  // Requested; differs if the plan clamped.
   uint64_t steps = 0;
   double seconds = 0.0;
   double steps_per_sec = 0.0;   // MH proposals across all shard chains.
@@ -85,12 +82,10 @@ std::vector<SweepRow> RunShardSweep(uint64_t master, size_t num_tokens,
     // throughput, not a differential, and distinct streams keep rows
     // independent.
     pdb::SharedChainEvaluator chain(
-        world.get(), /*proposal=*/nullptr,
+        world.get(), plan,
         {.steps_per_sample = interval,
          .burn_in = 0,
-         .seed = DeriveSeed(master, kStreamSweepChainBase + si)},
-        /*materialized=*/true);
-    chain.EnableSharding(plan);
+         .seed = DeriveSeed(master, kStreamSweepChainBase + si)});
     chain.Initialize();
     chain.RunQuantum(4);  // Warm the shard chains, pool, and proposal batches.
 
@@ -102,7 +97,6 @@ std::vector<SweepRow> RunShardSweep(uint64_t master, size_t num_tokens,
 
     SweepRow row;
     row.shards = chain.num_shards();
-    row.planned_shards = requested;
     row.steps = measure_samples * interval;
     row.seconds = seconds;
     row.steps_per_sec = static_cast<double>(row.steps) / seconds;
@@ -131,38 +125,6 @@ void PrintShardSweep(const std::vector<SweepRow>& rows) {
   table.PrintCsv(std::cout);
 }
 
-void WriteShardJson(const std::string& path, uint64_t master,
-                    size_t num_tokens, uint64_t sweep_steps,
-                    const std::vector<SweepRow>& rows) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "[fig4a] cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n"
-      << "  \"pr\": 8,\n"
-      << "  \"bench\": \"fig4a_shard_sweep\",\n"
-      << "  \"master_seed\": " << master << ",\n"
-      << "  \"num_tokens\": " << num_tokens << ",\n"
-      << "  \"sweep_steps\": " << sweep_steps << ",\n"
-      << "  \"hardware\": {\"cores\": " << std::thread::hardware_concurrency()
-      << "},\n"
-      << "  \"max_regression_ratio\": 1.25,\n"
-      << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& row = rows[i];
-    out << "    {\"shards\": " << row.shards
-        << ", \"requested_shards\": " << row.planned_shards
-        << ", \"steps\": " << row.steps
-        << ", \"seconds\": " << row.seconds
-        << ", \"steps_per_sec\": " << row.steps_per_sec
-        << ", \"tokens_per_sec\": " << row.tokens_per_sec << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cerr << "[fig4a] wrote " << path << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -172,7 +134,6 @@ int main(int argc, char** argv) {
   size_t sweep_tokens = static_cast<size_t>(1000000 * scale);
   std::vector<size_t> shard_counts = {1, 2, 4, 8, 16, 32};
   uint64_t sweep_steps = 2000000;
-  std::string shard_json;
   bool sweep_only = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -182,8 +143,6 @@ int main(int argc, char** argv) {
       shard_counts = ParseShardList(arg.substr(9));
     } else if (arg.rfind("--sweep_steps=", 0) == 0) {
       sweep_steps = std::strtoull(arg.c_str() + 14, nullptr, 10);
-    } else if (arg.rfind("--shard_json=", 0) == 0) {
-      shard_json = arg.substr(13);
     } else if (arg == "--sweep_only") {
       sweep_only = true;
     } else {
@@ -237,14 +196,13 @@ int main(int argc, char** argv) {
                          double* error_fraction) {
         auto world = bench.tokens.pdb->Clone();
         ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, world->db());
-        auto proposal = bench.MakeProposal();
         // The SAME derived seed for both evaluators: identical sample sets.
         const pdb::EvaluatorOptions options{
             .steps_per_sample = k,
             .burn_in = 0,
             .seed = DeriveSeed(master, row_stream + 3)};
-        pdb::SharedChainEvaluator evaluator(world.get(), proposal.get(),
-                                            options, materialized);
+        pdb::SharedChainEvaluator evaluator(
+            world.get(), bench.MakeSerialPlan(), options, materialized);
         evaluator.AddQuery(plan.get());
         Stopwatch timer;
         evaluator.Initialize();
@@ -293,9 +251,6 @@ int main(int argc, char** argv) {
   const std::vector<SweepRow> rows =
       RunShardSweep(master, sweep_tokens, shard_counts, sweep_steps);
   PrintShardSweep(rows);
-  if (!shard_json.empty()) {
-    WriteShardJson(shard_json, master, sweep_tokens, sweep_steps, rows);
-  }
   std::cout << "\nShape check: steps/sec grows with the shard count up to "
                "the core count (shard chains are independent between merge "
                "boundaries), then flattens — on a single-core host all "

@@ -103,17 +103,15 @@ int main(int argc, char** argv) {
                                       .seed = curve_seed};
   auto world_naive = bench.tokens.pdb->Clone();
   ra::PlanPtr plan_naive = sql::PlanQuery(ie::kQuery1, world_naive->db());
-  auto prop_naive = bench.MakeProposal();
-  pdb::SharedChainEvaluator naive(world_naive.get(), prop_naive.get(), options,
-                                  /*materialized=*/false);
+  pdb::SharedChainEvaluator naive(world_naive.get(), bench.MakeSerialPlan(),
+                                  options, /*materialized=*/false);
   naive.AddQuery(plan_naive.get());
   const auto naive_curve = LossCurve(naive, truth, samples);
 
   auto world_mat = bench.tokens.pdb->Clone();
   ra::PlanPtr plan_mat = sql::PlanQuery(ie::kQuery1, world_mat->db());
-  auto prop_mat = bench.MakeProposal();
-  pdb::SharedChainEvaluator materialized(world_mat.get(), prop_mat.get(),
-                                         options);
+  pdb::SharedChainEvaluator materialized(world_mat.get(),
+                                         bench.MakeSerialPlan(), options);
   materialized.AddQuery(plan_mat.get());
   const auto mat_curve = LossCurve(materialized, truth, samples);
 
@@ -225,9 +223,8 @@ int main(int argc, char** argv) {
     if (k_ab == 0) continue;
     auto world = bench.tokens.pdb->Clone();
     ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, world->db());
-    auto proposal = bench.MakeProposal();
     pdb::SharedChainEvaluator evaluator(
-        world.get(), proposal.get(),
+        world.get(), bench.MakeSerialPlan(),
         {.steps_per_sample = k_ab, .burn_in = 0, .seed = ablation_seed});
     evaluator.AddQuery(plan.get());
     Stopwatch timer;

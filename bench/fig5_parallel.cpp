@@ -42,9 +42,7 @@ int main(int argc, char** argv) {
     bench.tokens.pdb->DiscardDeltas();
   }
 
-  pdb::ProposalFactory factory = [&](pdb::ProbabilisticDatabase&) {
-    return std::unique_ptr<infer::Proposal>(bench.MakeProposal().release());
-  };
+  const pdb::ShardPlan serial_plan = bench.MakeSerialPlan();
 
   // Ground truth: eight chains of 1500 samples each — mirroring the paper's
   // 8 x 10k protocol. The truth's own sampling noise must sit far below the
@@ -59,7 +57,7 @@ int main(int argc, char** argv) {
                                  .seed = DeriveSeed(master, 2)};
   const pdb::QueryAnswer truth =
       pdb::EvaluateParallelMulti(*bench.tokens.pdb, {truth_plan.get()},
-                                 factory, truth_options)
+                                 serial_plan, truth_options)
           .answers[0];
 
   TablePrinter table({"chains", "squared error", "ideal (err1/B)",
@@ -81,12 +79,11 @@ int main(int argc, char** argv) {
                                .burn_in = DefaultBurnIn(n),
                                .seed = DeriveSeed(master,
                                                   3 + static_cast<uint64_t>(r))};
-      options.use_threads = true;
       const ra::PlanPtr plan =
           sql::PlanQuery(ie::kQuery1, bench.tokens.pdb->db());
       const pdb::QueryAnswer answer =
-          pdb::EvaluateParallelMulti(*bench.tokens.pdb, {plan.get()}, factory,
-                                     options)
+          pdb::EvaluateParallelMulti(*bench.tokens.pdb, {plan.get()},
+                                     serial_plan, options)
               .answers[0];
       err += answer.SquaredError(truth);
       total_samples = answer.num_samples();

@@ -37,9 +37,8 @@ int main(int argc, char** argv) {
         EstimateGroundTruth(bench, query, 1200, k, DeriveSeed(master, stream));
     auto world = bench.tokens.pdb->Clone();
     ra::PlanPtr plan = sql::PlanQuery(query, world->db());
-    auto proposal = bench.MakeProposal();
     pdb::SharedChainEvaluator evaluator(
-        world.get(), proposal.get(),
+        world.get(), bench.MakeSerialPlan(),
         {.steps_per_sample = k,
          .burn_in = 0,
          .seed = DeriveSeed(master, stream + 1)});

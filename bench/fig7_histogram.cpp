@@ -27,9 +27,8 @@ int main(int argc, char** argv) {
   NerBench bench(n, DeriveSeed(master, 0));
   auto world = bench.tokens.pdb->Clone();
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery2, world->db());
-  auto proposal = bench.MakeProposal();
   pdb::SharedChainEvaluator evaluator(
-      world.get(), proposal.get(),
+      world.get(), bench.MakeSerialPlan(),
       {.steps_per_sample = 10 * k,
        .burn_in = DefaultBurnIn(n),
        .seed = DeriveSeed(master, 1)});

@@ -26,9 +26,8 @@ int main(int argc, char** argv) {
   NerBench bench(n, DeriveSeed(master, 0));
   auto world = bench.tokens.pdb->Clone();
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery4, world->db());
-  auto proposal = bench.MakeProposal();
   pdb::SharedChainEvaluator evaluator(
-      world.get(), proposal.get(),
+      world.get(), bench.MakeSerialPlan(),
       {.steps_per_sample = 10 * k,
        .burn_in = DefaultBurnIn(n),
        .seed = DeriveSeed(master, 1)});
@@ -67,9 +66,8 @@ int main(int argc, char** argv) {
       "AND T1.DOC_ID = T2.DOC_ID AND T2.LABEL = 'B-PER'";
   auto world2 = bench.tokens.pdb->Clone();
   ra::PlanPtr plan2 = sql::PlanQuery(kQuery4PerDoc, world2->db());
-  auto proposal2 = bench.MakeProposal();
   pdb::SharedChainEvaluator evaluator2(
-      world2.get(), proposal2.get(),
+      world2.get(), bench.MakeSerialPlan(),
       {.steps_per_sample = 10 * k,
        .burn_in = DefaultBurnIn(n),
        .seed = DeriveSeed(master, 2)});

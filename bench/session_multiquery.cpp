@@ -30,8 +30,8 @@ StandaloneResult RunStandalone(const NerBench& bench, const char* query,
                                const pdb::EvaluatorOptions& options) {
   auto world = bench.tokens.pdb->Clone();
   ra::PlanPtr plan = sql::PlanQuery(query, world->db());
-  auto proposal = bench.MakeProposal();
-  pdb::SharedChainEvaluator evaluator(world.get(), proposal.get(), options);
+  pdb::SharedChainEvaluator evaluator(world.get(), bench.MakeSerialPlan(),
+                                      options);
   evaluator.AddQuery(plan.get());
   Stopwatch timer;
   evaluator.RunQuantum(kSamples);

@@ -53,25 +53,20 @@ Session::Session(SessionOptions options) : options_(std::move(options)) {
     until_z_ = infer::ZForConfidence(policy.confidence);
     until_chains_ = policy.num_chains;
   }
+  // A serial chain is the one-shard plan over the whole world.
+  if (!options_.shard_plan.has_plan()) {
+    options_.shard_plan = pdb::SerialPlan(options_.proposal_factory);
+  }
   // Multi-chain policies (parallel, and until starting at ≥2 chains) build
   // fresh COW chain batches per round instead of a resident shared chain.
   const bool multi_chain =
       policy.mode == ExecutionPolicy::Mode::kParallel ||
       (policy.mode == ExecutionPolicy::Mode::kUntil && policy.num_chains > 1);
   if (!multi_chain) {
-    // With a shard plan the resident chain steps through shard-local
-    // sub-chains (a single-shard plan replays the serial chain bitwise);
-    // otherwise the classic one-proposal serial sampler.
-    const bool sharded = options_.shard_plan.has_plan();
-    if (!sharded) proposal_ = options_.proposal_factory(*world_);
     chain_ = std::make_unique<pdb::SharedChainEvaluator>(
-        world_.get(), proposal_.get(), options_.evaluator,
-        /*materialized=*/policy.mode != ExecutionPolicy::Mode::kNaive);
-    if (sharded) {
-      chain_->EnableSharding(
-          options_.shard_plan,
-          pdb::ShardedExecution{policy.use_threads, policy.max_threads});
-    }
+        world_.get(), options_.shard_plan, options_.evaluator,
+        /*materialized=*/policy.mode != ExecutionPolicy::Mode::kNaive,
+        policy.max_threads);
     if (policy.mode == ExecutionPolicy::Mode::kUntil) {
       chain_->EnableConvergenceTracking({.confidence = policy.confidence,
                                          .eps = policy.eps,
@@ -129,7 +124,7 @@ ResultHandle Session::Register(const PreparedQueryPtr& prepared) {
 uint64_t Session::RunParallelRound(uint64_t samples_per_chain,
                                    size_t num_chains) {
   // A fresh batch of COW chains, every chain maintaining ALL registered
-  // views on its one sampler, per-query answers merged as chains finish.
+  // views on its one walk, per-query answers merged as chains finish.
   // Distinct epoch salts decorrelate successive batches (epoch 0 matches a
   // standalone EvaluateParallelMulti).
   const bool until = options_.policy.mode == ExecutionPolicy::Mode::kUntil;
@@ -141,15 +136,10 @@ uint64_t Session::RunParallelRound(uint64_t samples_per_chain,
   parallel.samples_per_chain = samples_per_chain;
   parallel.chain_options = options_.evaluator;
   parallel.materialized = true;
-  parallel.use_threads = options_.policy.use_threads;
   parallel.max_threads = options_.policy.max_threads;
   parallel.track_chain_stats = until;
-  if (options_.shard_plan.has_plan()) {
-    parallel.shard_plan = &options_.shard_plan;
-  }
   pdb::MultiQueryAnswer batch =
-      pdb::EvaluateParallelMulti(*world_, plans, options_.proposal_factory,
-                                 parallel,
+      pdb::EvaluateParallelMulti(*world_, plans, options_.shard_plan, parallel,
                                  /*seed_salt=*/parallel_epoch_ *
                                      0xbf58476d1ce4e5b9ULL);
   std::lock_guard<std::mutex> lock(results_mu_);

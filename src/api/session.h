@@ -3,7 +3,7 @@
 // The paper's architecture (§5) wires four pieces per query: a SQL plan, a
 // proposal kernel, an MCMC sampler, and an evaluator. Session owns that
 // wiring once per connection and lets N concurrent queries amortize one
-// sampler:
+// chain:
 //
 //   auto session = api::Session::Open({.database = &pdb,
 //                                      .proposal_factory = factory,
@@ -15,14 +15,16 @@
 //
 // Prepare() binds and caches plans by normalized SQL text; Register()
 // attaches a prepared query as a materialized view on the session's shared
-// chain (the PR 3 delta drain fans out through the union of all registered
-// views' table→scan subscriptions, so K queries cost one sampling pass plus
-// only the subtrees their deltas touch); Run() advances the chain;
+// chain (the delta drain fans out to every registered view, each routed
+// by its own table→scan subscriptions, so K queries cost one sampling pass
+// plus only the subtrees their deltas touch); Run() advances the chain;
 // ResultHandle::Snapshot() reads marginals, sample counts, and
 // acceptance-rate progress per query mid-run.
 //
 // A single ExecutionPolicy selects how pdb::SharedChainEvaluator, the one
-// evaluation loop, is driven:
+// evaluation loop, is driven. Every chain it builds comes from one
+// pdb::ShardPlan: SessionOptions::shard_plan, or else the one-shard
+// pdb::SerialPlan of SessionOptions::proposal_factory.
 //
 //   serial    — one shared chain, delta-maintained views (Alg. 1)
 //   parallel  — num_chains COW-snapshot chains, each maintaining ALL
@@ -59,7 +61,7 @@ struct ExecutionPolicy {
   Mode mode = Mode::kSerial;
   /// kParallel: chain count. kUntil: the escalation ladder's FIRST rung
   /// (1 = single shared chain with batched-means errors, ≥2 = cross-chain
-  /// errors with chain doubling). Threading fields apply to both.
+  /// errors with chain doubling). `max_threads` applies to both.
   size_t num_chains = 4;
   /// Intra-chain sharding (requires SessionOptions::shard_plan when > 1):
   /// each logical chain is stepped by S shard-local sub-chains merged in
@@ -68,7 +70,9 @@ struct ExecutionPolicy {
   /// composes with every mode, including Until. The plan's own shard count
   /// is what actually runs (locality fallback may have clamped it to 1).
   size_t num_shards = 1;
-  bool use_threads = true;
+  /// Worker-thread cap: replica chains when there are several, else the
+  /// one chain's shards. 0 = min(tasks, hardware concurrency); 1 runs them
+  /// one at a time. Answers are bitwise-identical at every setting.
   size_t max_threads = 0;
 
   // kUntil only — run-until-error-bound (see Until()).
@@ -89,7 +93,8 @@ struct ExecutionPolicy {
   /// semantics — one world, one delta fan-out, one set of views — at
   /// near-linear step throughput in the shard count. Requires a
   /// SessionOptions::shard_plan (e.g. ie::BuildDocumentShardPlan); S = 1
-  /// and every locality fallback are bitwise-identical to Serial().
+  /// and every locality fallback are one-shard plans, so they run the same
+  /// chain as Serial() and answer bitwise-identically.
   static ExecutionPolicy Sharded(size_t num_shards, size_t max_threads = 0) {
     ExecutionPolicy p;
     p.num_shards = num_shards;
@@ -161,17 +166,17 @@ struct SessionOptions {
   const factor::Model* model = nullptr;
 
   /// Produces a fresh proposal per chain (proposals hold chain-local
-  /// state). Required unless `shard_plan` is set (the plan's per-shard
-  /// factory then supplies every proposal). Must be callable from worker
-  /// threads under the parallel policy.
+  /// state). Required unless `shard_plan` is set; the session wraps it in
+  /// pdb::SerialPlan, the one-shard plan every chain is then built from.
+  /// Must be callable from worker threads under the parallel policy.
   pdb::ProposalFactory proposal_factory = {};
 
   /// Sharded execution plan (partition + per-shard proposal factory), e.g.
-  /// from ie::BuildDocumentShardPlan. When set, the session steps every
-  /// logical chain through the plan's shard chains — required when
-  /// policy.num_shards > 1, and used even at one shard (the single-shard
-  /// plan replays the serial chain bitwise). The plan's factory closures
-  /// are copied into the session, so the plan value need not outlive it.
+  /// from ie::BuildDocumentShardPlan. When set, every logical chain is
+  /// built from it instead of from `proposal_factory` — required when
+  /// policy.num_shards > 1. A single-shard plan runs the serial chain. The
+  /// plan's factory closures are copied into the session, so the plan
+  /// value need not outlive it.
   pdb::ShardPlan shard_plan = {};
 
   /// Chain schedule: thinning k (fixed), burn-in, seed.
@@ -322,11 +327,8 @@ class Session {
   const ExecutionPolicy& policy() const { return options_.policy; }
 
   /// Shard chains stepping each logical chain: the shard plan's count
-  /// (after any locality fallback), or 1 when the session is unsharded.
-  size_t num_shards() const {
-    return options_.shard_plan.has_plan() ? options_.shard_plan.num_shards
-                                          : 1;
-  }
+  /// (after any locality fallback), 1 for the serial plan.
+  size_t num_shards() const { return options_.shard_plan.num_shards; }
 
   /// Prepared-statement cache size (distinct normalized texts).
   size_t prepared_cache_size() const { return prepared_cache_.size(); }
@@ -367,11 +369,12 @@ class Session {
   /// registered query, num_chains · samples_per_chain.
   uint64_t RunParallelRound(uint64_t samples_per_chain, size_t num_chains);
 
+  /// `shard_plan` always holds the plan every chain is built from (the
+  /// serial plan when the caller set none).
   SessionOptions options_;
   /// The session's private copy-on-write world (serial/naive chains run on
   /// it; parallel chains snapshot the base again per Run).
   std::unique_ptr<pdb::ProbabilisticDatabase> world_;
-  std::unique_ptr<infer::Proposal> proposal_;
   std::unique_ptr<pdb::SharedChainEvaluator> chain_;
 
   std::unordered_map<std::string, PreparedQueryPtr> prepared_cache_;

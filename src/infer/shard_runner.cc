@@ -12,7 +12,7 @@ ShardRunner::ShardRunner(const factor::Model& model, factor::World* world,
                          std::vector<std::unique_ptr<Proposal>> proposals,
                          std::vector<uint32_t> partition,
                          ShardRunnerOptions options)
-    : partition_(std::move(partition)) {
+    : partition_(std::move(partition)), accepted_(proposals.size(), 0) {
   FGPDB_CHECK(world != nullptr);
   FGPDB_CHECK(!proposals.empty());
   const size_t num_shards = proposals.size();
@@ -75,13 +75,13 @@ size_t ShardRunner::StepShards(size_t n) {
   // Per-shard accepted counts: each slot is written by exactly one task
   // (disjoint elements), summed after the barrier — an integer fold whose
   // value cannot depend on completion order.
-  std::vector<size_t> accepted(num_shards, 0);
+  std::fill(accepted_.begin(), accepted_.end(), 0);
   if (pool_ != nullptr) {
     for (size_t s = 0; s < num_shards; ++s) {
       const size_t steps = ShardSteps(n, s, num_shards);
       if (steps == 0) continue;
       pool_->Submit(
-          [this, s, steps, &accepted] { accepted[s] = shards_[s].chain->Step(steps); });
+          [this, s, steps] { accepted_[s] = shards_[s].chain->Step(steps); });
     }
     // The pool barrier is the happens-before edge: every shard's world
     // writes, buffer appends, and accepted counts are visible to the
@@ -90,11 +90,11 @@ size_t ShardRunner::StepShards(size_t n) {
   } else {
     for (size_t s = 0; s < num_shards; ++s) {
       const size_t steps = ShardSteps(n, s, num_shards);
-      if (steps > 0) accepted[s] = shards_[s].chain->Step(steps);
+      if (steps > 0) accepted_[s] = shards_[s].chain->Step(steps);
     }
   }
   size_t total = 0;
-  for (const size_t a : accepted) total += a;
+  for (const size_t a : accepted_) total += a;
   return total;
 }
 

@@ -53,9 +53,11 @@ struct ShardRunnerOptions {
   /// serial MetropolisHastings at the same seed).
   uint64_t seed = 1;
   /// Step shards on a thread pool; false = sequential in shard order
-  /// (bitwise-identical results either way).
+  /// (bitwise-identical results either way). Every chain in the library
+  /// passes true and caps threads through `max_threads` instead.
   bool use_threads = true;
-  /// Worker threads when use_threads. 0 = min(S, hardware concurrency).
+  /// Worker threads when use_threads. 0 = min(S, hardware concurrency);
+  /// 1 steps the shards one at a time.
   size_t max_threads = 0;
 };
 
@@ -121,6 +123,9 @@ class ShardRunner {
 
   std::vector<Shard> shards_;
   std::vector<uint32_t> partition_;
+  /// Per-shard accepted counts of the current interval (StepShards),
+  /// reused so an interval allocates nothing.
+  std::vector<size_t> accepted_;
   /// False during burn-in: shard listeners drop instead of buffering.
   bool recording_ = true;
   /// Reused across intervals so Step() never pays thread spawn; null when

@@ -21,10 +21,10 @@ struct ChainResult {
 };
 
 // Builds, runs, and tears down one chain: a copy-on-write snapshot of the
-// base world, a fresh proposal, and a shared-chain evaluator maintaining
-// every plan's view on the one sampler. All chain state lives and dies
-// inside this call, so a pool running T worker threads holds at most T
-// worlds at a time no matter how many chains are requested.
+// base world, fresh proposals from the shard plan, and a shared-chain
+// evaluator maintaining every plan's view on the one chain. All chain state
+// lives and dies inside this call, so a pool running T worker threads holds
+// at most T worlds at a time no matter how many chains are requested.
 //
 // Materialized chains each compile their own views, which matters for the
 // routed delta pipeline: the subscription maps, routing masks, reusable
@@ -33,33 +33,22 @@ struct ChainResult {
 // apply deltas without synchronization.
 ChainResult RunChain(const ProbabilisticDatabase& pdb,
                      const std::vector<const ra::PlanNode*>& plans,
-                     const ProposalFactory& make_proposal,
+                     const ShardPlan& shard_plan,
                      const ParallelOptions& options, size_t chain_index,
                      uint64_t seed_salt) {
   std::unique_ptr<ProbabilisticDatabase> world = pdb.Snapshot();
   EvaluatorOptions chain_options = options.chain_options;
   // Decorrelate chains: each gets its own seed stream, a function of the
   // chain index (and the caller's salt) alone so scheduling cannot change
-  // results.
+  // results. Shard streams derive from the salted chain seed.
   chain_options.seed = options.chain_options.seed + seed_salt +
                        0x9e3779b97f4a7c15ULL * (chain_index + 1);
-  const bool sharded =
-      options.shard_plan != nullptr && options.shard_plan->has_plan();
-  std::unique_ptr<infer::Proposal> proposal;
-  if (!sharded) proposal = make_proposal(*world);
-  SharedChainEvaluator evaluator(world.get(), proposal.get(), chain_options,
-                                 options.materialized);
-  if (sharded) {
-    // Shard streams derive from the salted chain seed, so the B×S grid of
-    // RNG streams is a pure function of (base seed, salt, chain, shard).
-    // Inner stepping stays sequential when the chains are threaded — the
-    // outer pool already owns the cores, and the merge is order-fixed so
-    // threading never changes the answer anyway.
-    ShardedExecution exec;
-    exec.use_threads = options.use_threads && options.num_chains == 1;
-    exec.max_threads = options.max_threads;
-    evaluator.EnableSharding(*options.shard_plan, exec);
-  }
+  // Inner shard stepping runs one shard at a time when there are several
+  // chains — the outer pool already owns the cores, and the merge is
+  // order-fixed so threading never changes the answer anyway.
+  SharedChainEvaluator evaluator(
+      world.get(), shard_plan, chain_options, options.materialized,
+      /*max_threads=*/options.num_chains == 1 ? options.max_threads : 1);
   for (const ra::PlanNode* plan : plans) evaluator.AddQuery(plan);
   evaluator.RunQuantum(options.samples_per_chain);
   ChainResult result;
@@ -77,10 +66,11 @@ ChainResult RunChain(const ProbabilisticDatabase& pdb,
 MultiQueryAnswer EvaluateParallelMulti(
     const ProbabilisticDatabase& pdb,
     const std::vector<const ra::PlanNode*>& plans,
-    const ProposalFactory& make_proposal, const ParallelOptions& options,
+    const ShardPlan& shard_plan, const ParallelOptions& options,
     uint64_t seed_salt) {
   FGPDB_CHECK_GT(options.num_chains, 0u);
   FGPDB_CHECK(!plans.empty());
+  FGPDB_CHECK(shard_plan.has_plan()) << "ShardPlan has no proposal factory";
 
   MultiQueryAnswer merged;
   merged.answers.resize(plans.size());
@@ -99,17 +89,17 @@ MultiQueryAnswer EvaluateParallelMulti(
     merged.total_accepted += chain.accepted;
   };
 
-  if (options.use_threads && options.num_chains > 1) {
-    const size_t num_threads =
-        options.max_threads > 0
-            ? std::min(options.max_threads, options.num_chains)
-            : ThreadPool::DefaultThreadCount(options.num_chains);
+  const size_t num_threads =
+      options.max_threads > 0
+          ? std::min(options.max_threads, options.num_chains)
+          : ThreadPool::DefaultThreadCount(options.num_chains);
+  if (num_threads > 1) {
     std::mutex merge_mu;
     ThreadPool pool(num_threads);
     for (size_t b = 0; b < options.num_chains; ++b) {
       pool.Submit([&, b] {
         const ChainResult chain =
-            RunChain(pdb, plans, make_proposal, options, b, seed_salt);
+            RunChain(pdb, plans, shard_plan, options, b, seed_salt);
         std::lock_guard<std::mutex> lock(merge_mu);
         fold(chain);
       });
@@ -117,7 +107,7 @@ MultiQueryAnswer EvaluateParallelMulti(
     pool.Wait();
   } else {
     for (size_t b = 0; b < options.num_chains; ++b) {
-      fold(RunChain(pdb, plans, make_proposal, options, b, seed_salt));
+      fold(RunChain(pdb, plans, shard_plan, options, b, seed_salt));
     }
   }
   return merged;

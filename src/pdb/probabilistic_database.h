@@ -6,9 +6,11 @@
 //   * an external factor-graph Model scoring worlds, and
 //   * a delta accumulator recording Δ−/Δ+ between query evaluations.
 //
-// MakeSampler() wires a Metropolis–Hastings chain so that every accepted
-// jump updates the tables and the delta buffer — inference runs in memory,
-// the DBMS stays a blackbox, exactly the architecture of §5.
+// MirrorApplied() carries accepted jumps into the tables and the delta
+// buffer — inference runs in memory, the DBMS stays a blackbox, exactly the
+// architecture of §5. Evaluation chains (SharedChainEvaluator) call it once
+// per interval; MakeSampler() wires a bare Metropolis–Hastings chain that
+// calls it on every flush.
 #ifndef FGPDB_PDB_PROBABILISTIC_DATABASE_H_
 #define FGPDB_PDB_PROBABILISTIC_DATABASE_H_
 
@@ -61,7 +63,7 @@ class ProbabilisticDatabase {
 
   /// Mirrors an already-applied assignment stream into the tables and the
   /// delta accumulator — exactly what MakeSampler's listener does per
-  /// flush. The sharded executor uses this as its merge sink: shard-local
+  /// flush. Every evaluation chain uses this as its merge sink: shard-local
   /// chains advance the world privately, then their buffered streams drain
   /// through here in fixed shard order. Mirroring depends only on the
   /// stream's content and order, so deferred (per-interval) mirroring is

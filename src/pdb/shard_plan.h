@@ -1,11 +1,13 @@
 // ShardPlan: how one world is split into shard-local chains.
 //
 // A plan names the partition (VarId → shard index), the shard count, and a
-// factory for per-shard proposals. It is consumed by
-// SharedChainEvaluator::EnableSharding, which builds one MetropolisHastings
-// chain per shard over the SAME world (infer/shard_runner.h) and merges the
+// factory for per-shard proposals. Every logical chain is built from one:
+// SharedChainEvaluator turns it into an infer::ShardRunner, one
+// MetropolisHastings chain per shard over the SAME world, and merges the
 // shards' accepted-jump streams in fixed shard order into the one delta
-// fan-out every view and statistic already consumes.
+// fan-out every view and statistic consumes. A serial chain is the
+// one-shard plan (SerialPlan): its single shard steps under the chain seed
+// verbatim, so it walks a bare MetropolisHastings' trajectory bitwise.
 //
 // The locality contract: sharding is only *exact* when no factor and no
 // proposal crosses a part boundary. BuildShardPlan enforces the factor half
@@ -30,21 +32,22 @@ namespace pdb {
 
 class ProbabilisticDatabase;
 
-/// Threading knobs for shard-local stepping (how a plan runs, not what it
-/// computes — results are bitwise-identical threaded or sequential).
-struct ShardedExecution {
-  bool use_threads = true;
-  /// 0 = min(num_shards, hardware concurrency).
-  size_t max_threads = 0;
-};
+/// Produces a fresh proposal for one chain over the whole of a given world
+/// (proposals hold chain-local state such as the §5.1 document batch, so
+/// chains cannot share one). Replica chains invoke it on pool worker
+/// threads, possibly concurrently, so it must be safe to call from several
+/// threads at once (both in-tree proposal factories are: they only read
+/// shared immutable setup state).
+using ProposalFactory =
+    std::function<std::unique_ptr<infer::Proposal>(ProbabilisticDatabase&)>;
 
 struct ShardPlan {
   /// Produces the proposal for shard `shard` of a given world. Invoked once
   /// per shard per chain (replica chains under the parallel policy each
-  /// build their own set, against their own COW snapshot). Must confine its
-  /// proposals to the variables of `shard`'s part; with a single-shard plan
-  /// (including every locality fallback) it is invoked only with shard 0
-  /// and must cover the whole world.
+  /// build their own set, against their own COW snapshot, on pool worker
+  /// threads). Must confine its proposals to the variables of `shard`'s
+  /// part; with a single-shard plan (including every locality fallback) it
+  /// is invoked only with shard 0 and must cover the whole world.
   using ProposalFactory = std::function<std::unique_ptr<infer::Proposal>(
       ProbabilisticDatabase&, size_t shard)>;
 
@@ -53,9 +56,23 @@ struct ShardPlan {
   std::vector<uint32_t> partition;
   ProposalFactory make_proposal;
 
-  /// A default-constructed ShardPlan (no factory) means "not sharded".
+  /// False for a default-constructed ShardPlan (no factory): no chain can
+  /// be built from it.
   bool has_plan() const { return static_cast<bool>(make_proposal); }
 };
+
+/// The serial chain: one shard covering the whole world, proposing through
+/// `make_proposal`. An empty factory gives an empty plan.
+inline ShardPlan SerialPlan(ProposalFactory make_proposal) {
+  ShardPlan plan;
+  if (make_proposal) {
+    plan.make_proposal = [make_proposal = std::move(make_proposal)](
+                             ProbabilisticDatabase& pdb, size_t) {
+      return make_proposal(pdb);
+    };
+  }
+  return plan;
+}
 
 /// Validates `partition` against `model`'s locality contract and returns a
 /// plan: `num_shards` shard-local chains when the model certifies that no

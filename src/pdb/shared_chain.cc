@@ -1,7 +1,8 @@
 #include "pdb/shared_chain.h"
 
-#include <algorithm>
+#include <string>
 #include <unordered_set>
+#include <utility>
 
 #include "ra/executor.h"
 #include "util/logging.h"
@@ -23,24 +24,12 @@ std::vector<Tuple> DistinctTuples(const std::vector<Tuple>& bag) {
 }  // namespace
 
 SharedChainEvaluator::SharedChainEvaluator(ProbabilisticDatabase* pdb,
-                                           infer::Proposal* proposal,
+                                           const ShardPlan& plan,
                                            EvaluatorOptions options,
-                                           bool materialized)
-    : pdb_(pdb),
-      options_(options),
-      materialized_(materialized) {
+                                           bool materialized,
+                                           size_t max_threads)
+    : pdb_(pdb), options_(options), materialized_(materialized) {
   FGPDB_CHECK(pdb_ != nullptr);
-  // A null proposal defers chain construction to EnableSharding (which
-  // builds per-shard proposals from the plan's factory).
-  if (proposal != nullptr) sampler_ = pdb_->MakeSampler(proposal, options_.seed);
-}
-
-void SharedChainEvaluator::EnableSharding(const ShardPlan& plan,
-                                          ShardedExecution exec) {
-  FGPDB_CHECK(!initialized_) << "EnableSharding must precede Initialize()";
-  FGPDB_CHECK(sampler_ == nullptr)
-      << "construct with a nullptr proposal to enable sharding";
-  FGPDB_CHECK(runner_ == nullptr);
   FGPDB_CHECK(plan.has_plan()) << "ShardPlan has no proposal factory";
   FGPDB_CHECK_GT(plan.num_shards, 0u);
   std::vector<std::unique_ptr<infer::Proposal>> proposals;
@@ -50,20 +39,17 @@ void SharedChainEvaluator::EnableSharding(const ShardPlan& plan,
   }
   runner_ = std::make_unique<infer::ShardRunner>(
       pdb_->model(), &pdb_->world(), std::move(proposals), plan.partition,
-      infer::ShardRunnerOptions{options_.seed, exec.use_threads,
-                                exec.max_threads});
+      infer::ShardRunnerOptions{options_.seed, /*use_threads=*/true,
+                                max_threads});
 }
 
-void SharedChainEvaluator::StepChain(size_t n) {
-  if (runner_ != nullptr) {
-    // Shard chains advance the world privately, then their buffered
-    // accepted-jump streams drain in shard order into the same mirror +
-    // accumulator path the serial sampler's listener feeds.
-    runner_->Step(n, [this](const std::vector<factor::AppliedAssignment>&
-                                applied) { pdb_->MirrorApplied(applied); });
-  } else {
-    sampler_->Run(n);
-  }
+void SharedChainEvaluator::Step(size_t n) {
+  FGPDB_CHECK(initialized_);
+  // Shard chains advance the world privately, then their buffered
+  // accepted-jump streams drain in shard order into the database mirror +
+  // delta accumulator.
+  runner_->Step(n, [this](const std::vector<factor::AppliedAssignment>&
+                              applied) { pdb_->MirrorApplied(applied); });
 }
 
 size_t SharedChainEvaluator::AddQuery(const ra::PlanNode* plan) {
@@ -73,9 +59,6 @@ size_t SharedChainEvaluator::AddQuery(const ra::PlanNode* plan) {
   if (tracking_) slot.stats = std::make_unique<MarginalErrorStats>();
   if (materialized_) {
     slot.view = std::make_unique<view::MaterializedView>(*plan);
-    for (const auto& [table, scans] : slot.view->subscriptions()) {
-      subscriptions_[table] += scans;
-    }
     if (initialized_) {
       // Bring the chain's existing views current (the accumulator may hold
       // deltas from steps taken since the last drain), then evaluate the
@@ -94,18 +77,13 @@ size_t SharedChainEvaluator::AddQuery(const ra::PlanNode* plan) {
 
 void SharedChainEvaluator::Initialize() {
   FGPDB_CHECK(!initialized_);
-  FGPDB_CHECK(sampler_ != nullptr || runner_ != nullptr)
-      << "construct with a proposal or call EnableSharding first";
-  if (runner_ != nullptr) {
-    // Detached burn-in: the world advances without buffering its ~40·n
-    // accepted jumps, then one full StoreWorld resynchronizes the tables.
-    // End state is identical to a mirrored burn-in + DiscardDeltas (the
-    // discarded deltas were never observable).
-    runner_->RunBurnIn(options_.burn_in);
-    pdb_->binding().StoreWorld(pdb_->world(), &pdb_->db());
-  } else {
-    sampler_->Run(options_.burn_in);
-  }
+  // Detached burn-in: the world advances without buffering its ~40·n
+  // accepted jumps, then one full StoreWorld resynchronizes the tables.
+  // End state is identical to a mirrored burn-in + DiscardDeltas (the
+  // discarded deltas were never observable). With no burn-in the tables
+  // already hold the world and StoreWorld writes nothing.
+  runner_->RunBurnIn(options_.burn_in);
+  pdb_->binding().StoreWorld(pdb_->world(), &pdb_->db());
   pdb_->DiscardDeltas();
   if (materialized_) {
     // The one exhaustive query per view over the initial world (Alg. 1
@@ -164,19 +142,11 @@ void SharedChainEvaluator::MaybeFreeze(Slot* slot) {
   if (slot->answer.num_samples() < convergence_.min_samples) return;
   if (slot->stats->MaxHalfWidth(z_) > convergence_.eps) return;
   // The bound holds: freeze the slot. Its view is paused (Apply becomes a
-  // short-circuit) and its tables leave the chain-level union map, so the
-  // routed fan-out stops paying for this query entirely.
+  // short-circuit) and DrawSample skips it, so the routed fan-out stops
+  // paying for this query entirely.
   slot->converged = true;
   ++num_converged_;
-  if (slot->view != nullptr) {
-    slot->view->set_paused(true);
-    for (const auto& [table, scans] : slot->view->subscriptions()) {
-      const auto it = subscriptions_.find(table);
-      if (it == subscriptions_.end()) continue;
-      it->second -= std::min(it->second, scans);
-      if (it->second == 0) subscriptions_.erase(it);
-    }
-  }
+  if (slot->view != nullptr) slot->view->set_paused(true);
 }
 
 void SharedChainEvaluator::EnableConvergenceTracking(
@@ -211,8 +181,7 @@ uint64_t SharedChainEvaluator::RunQuantum(uint64_t max_samples) {
 }
 
 void SharedChainEvaluator::DrawSample() {
-  FGPDB_CHECK(initialized_);
-  StepChain(options_.steps_per_sample);
+  Step(options_.steps_per_sample);
 
   if (!materialized_) {
     pdb_->DiscardDeltas();
@@ -233,8 +202,6 @@ void SharedChainEvaluator::DrawSample() {
     if (slot.converged) continue;  // drained: paused view, no apply cost
     if (ViewTouched(*slot.view, delta_buf_)) {
       FoldDelta(slot.view->Apply(delta_buf_), &slot);
-    } else {
-      ++views_skipped_;
     }
   }
   for (Slot& slot : slots_) {
@@ -257,12 +224,6 @@ std::vector<Tuple> SharedChainEvaluator::AnswerSet(const Slot& slot) const {
 
 std::vector<Tuple> SharedChainEvaluator::CurrentAnswerSet(size_t slot) const {
   return AnswerSet(slots_.at(slot));
-}
-
-const view::MaterializedView& SharedChainEvaluator::materialized_view(
-    size_t slot) const {
-  FGPDB_CHECK(materialized_);
-  return *slots_.at(slot).view;
 }
 
 }  // namespace pdb

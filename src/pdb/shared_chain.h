@@ -4,9 +4,14 @@
 // (§4.2): the sampler walks k steps, the row-granular accumulator is
 // drained ONCE, and the resulting DeltaSet fans out to every registered
 // view. K queries therefore cost one sampling pass plus only the subtrees
-// their deltas touch — the per-view subscription maps (PR 3) mean a query
-// whose base tables were untouched this round is skipped outright via the
-// chain-level union subscription map.
+// their deltas touch: a view none of whose subscribed base tables was
+// touched this round is skipped outright, by its own subscription map.
+//
+// The chain is an infer::ShardRunner built from a ShardPlan: S shard-local
+// MetropolisHastings chains over this evaluator's world, whose accepted
+// jumps are mirrored into the tables and the Δ−/Δ+ accumulator in fixed
+// shard order after every interval. A serial chain is the one-shard plan
+// (SerialPlan), which steps under the seed verbatim.
 //
 // SharedChainEvaluator is the one evaluation loop: Algorithm 1 (views
 // maintained through Δ−/Δ+) or Algorithm 3 (materialized=false: the full
@@ -25,18 +30,14 @@
 #define FGPDB_PDB_SHARED_CHAIN_H_
 
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "infer/metropolis_hastings.h"
 #include "infer/shard_runner.h"
 #include "pdb/convergence_stats.h"
 #include "pdb/probabilistic_database.h"
 #include "pdb/query_evaluator.h"
 #include "pdb/shard_plan.h"
 #include "ra/plan.h"
-#include "util/logging.h"
 #include "view/incremental.h"
 
 namespace fgpdb {
@@ -44,25 +45,23 @@ namespace pdb {
 
 class SharedChainEvaluator {
  public:
+  /// Builds the chain from `plan`: S = plan.num_shards shard-local chains
+  /// advance `pdb`'s world, each under its own RNG stream derived from
+  /// options.seed (S == 1: options.seed verbatim), and each interval their
+  /// accepted-jump buffers drain in fixed shard order into the ONE delta
+  /// fan-out — views, marginals, and convergence stats see a single logical
+  /// chain, bitwise-reproducible at a fixed seed regardless of thread
+  /// interleaving. The one-shard plan is the serial chain (SerialPlan): it
+  /// walks the trajectory of a bare MetropolisHastings at options.seed, and
+  /// the accumulator depends only on the assignment stream, so deferring
+  /// the mirror to the end of an interval coalesces identically.
   /// `materialized` selects Alg. 1 (delta-maintained views, the default)
   /// or Alg. 3 (full query per sample) for every registered query.
-  /// `proposal` may be nullptr ONLY when EnableSharding() follows before
-  /// Initialize() — sharded chains build per-shard proposals from the plan.
-  SharedChainEvaluator(ProbabilisticDatabase* pdb, infer::Proposal* proposal,
-                       EvaluatorOptions options, bool materialized = true);
-
-  /// Switches the chain to sharded execution (call before Initialize(),
-  /// with a nullptr ctor proposal): S = plan.num_shards shard-local chains
-  /// advance this evaluator's world concurrently, each under its own RNG
-  /// stream derived from options.seed (S == 1: options.seed verbatim), and
-  /// each interval their accepted-jump buffers drain in fixed shard order
-  /// into the ONE delta fan-out — views, marginals, and convergence stats
-  /// see a single logical chain, bitwise-reproducible at a fixed seed
-  /// regardless of thread interleaving. A single-shard plan replays the
-  /// serial chain bitwise (same RNG stream, same assignment stream, and
-  /// the row-granular accumulator depends only on stream order — deferred
-  /// per-interval mirroring coalesces identically to per-flush mirroring).
-  void EnableSharding(const ShardPlan& plan, ShardedExecution exec = {});
+  /// `max_threads` caps the shard-stepping threads (0 = min(S, hardware
+  /// concurrency); 1 steps the shards one at a time, with the same result).
+  SharedChainEvaluator(ProbabilisticDatabase* pdb, const ShardPlan& plan,
+                       EvaluatorOptions options, bool materialized = true,
+                       size_t max_threads = 0);
 
   /// Registers a query; returns its slot index. Callable before or after
   /// Initialize(): a view registered mid-run is brought current against
@@ -72,6 +71,9 @@ class SharedChainEvaluator {
   size_t AddQuery(const ra::PlanNode* plan);
 
   /// Runs burn-in and the one exhaustive evaluation per registered view.
+  /// The burn-in is detached (the world advances, nothing is buffered),
+  /// then one TupleBinding::StoreWorld brings the tables level with the
+  /// world: they end where a mirrored burn-in leaves them.
   void Initialize();
   bool initialized() const { return initialized_; }
 
@@ -82,6 +84,12 @@ class SharedChainEvaluator {
   /// not touch costs O(1) to observe. Alg. 3: the full query's answer set
   /// is folded.
   void DrawSample();
+
+  /// Advances the chain `n` transitions and mirrors them into the tables
+  /// and the delta accumulator, without observing a sample (the next
+  /// DrawSample or AddQuery folds the pending deltas). Requires
+  /// Initialize().
+  void Step(size_t n);
 
   /// The sampling loop: initialize if needed, then draw at most
   /// `max_samples` samples at the fixed thinning interval k, stopping early
@@ -125,55 +133,16 @@ class SharedChainEvaluator {
   /// Distinct tuples in the current world's answer for `slot`.
   std::vector<Tuple> CurrentAnswerSet(size_t slot) const;
 
-  /// The maintained view for `slot` (materialized mode only).
-  const view::MaterializedView& materialized_view(size_t slot) const;
+  size_t num_shards() const { return runner_->num_shards(); }
 
-  /// The serial sampler. Unavailable under sharding (the chain is S
-  /// samplers — use the counter accessors below, which cover both modes).
-  infer::MetropolisHastings& sampler() {
-    FGPDB_CHECK(sampler_ != nullptr) << "no serial sampler under sharding";
-    return *sampler_;
-  }
-  const infer::MetropolisHastings& sampler() const {
-    FGPDB_CHECK(sampler_ != nullptr) << "no serial sampler under sharding";
-    return *sampler_;
-  }
-
-  bool sharded() const { return runner_ != nullptr; }
-  size_t num_shards() const {
-    return runner_ != nullptr ? runner_->num_shards() : 1;
-  }
-
-  /// Proposal/acceptance counters of the logical chain: the serial
-  /// sampler's counters, or the order-independent sum over shard chains.
-  uint64_t num_proposed() const {
-    return runner_ != nullptr ? runner_->num_proposed()
-                              : sampler_->num_proposed();
-  }
-  uint64_t num_accepted() const {
-    return runner_ != nullptr ? runner_->num_accepted()
-                              : sampler_->num_accepted();
-  }
-  double acceptance_rate() const {
-    const uint64_t proposed = num_proposed();
-    return proposed == 0 ? 0.0
-                         : static_cast<double>(num_accepted()) /
-                               static_cast<double>(proposed);
-  }
+  /// Proposal/acceptance counters of the logical chain: the
+  /// order-independent sums over its shard chains.
+  uint64_t num_proposed() const { return runner_->num_proposed(); }
+  uint64_t num_accepted() const { return runner_->num_accepted(); }
+  double acceptance_rate() const { return runner_->acceptance_rate(); }
 
   /// The thinning interval k (fixed: EvaluatorOptions::steps_per_sample).
   uint64_t steps_per_sample() const { return options_.steps_per_sample; }
-
-  /// Chain-level union subscription map: base table → number of scan
-  /// operators across ALL registered views reading it. A delta for a table
-  /// absent here is invisible to every registered query.
-  const std::unordered_map<std::string, size_t>& subscriptions() const {
-    return subscriptions_;
-  }
-
-  /// Views skipped entirely (no subscribed table touched) across all
-  /// DrawSample rounds — the chain-level routing win.
-  uint64_t views_skipped() const { return views_skipped_; }
 
  private:
   struct Slot {
@@ -198,29 +167,21 @@ class SharedChainEvaluator {
   void ObserveSample(Slot* slot);
   /// Distinct tuples in the current world's answer for `slot`.
   std::vector<Tuple> AnswerSet(const Slot& slot) const;
-  /// Freezes `slot` if the error bound holds; updates the union map.
+  /// Freezes `slot` if the error bound holds.
   void MaybeFreeze(Slot* slot);
   /// True if any table with a non-empty delta in `deltas` is subscribed to
   /// by `view`.
   static bool ViewTouched(const view::MaterializedView& view,
                           const view::DeltaSet& deltas);
 
-  /// Advances the logical chain `n` transitions: the serial sampler (which
-  /// mirrors per flush), or the shard runner followed by its fixed-order
-  /// merge into the database mirror + delta accumulator.
-  void StepChain(size_t n);
-
   ProbabilisticDatabase* pdb_;
   EvaluatorOptions options_;
   const bool materialized_;
   std::vector<Slot> slots_;
-  std::unique_ptr<infer::MetropolisHastings> sampler_;
-  /// Sharded execution (EnableSharding); null on the serial path.
+  /// Heap-held: the shard chains' listeners capture the runner's address.
   std::unique_ptr<infer::ShardRunner> runner_;
   // Reused every interval: TakeDeltas recycles its table buckets.
   view::DeltaSet delta_buf_;
-  std::unordered_map<std::string, size_t> subscriptions_;
-  uint64_t views_skipped_ = 0;
   bool initialized_ = false;
 
   // Run-until-error-bound state.

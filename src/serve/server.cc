@@ -56,16 +56,26 @@ Server::~Server() {
 
 Status Server::CreateTenant(TenantId* id, TenantOptions tenant_options) {
   FGPDB_CHECK(id != nullptr);
+  // Session::Open and the chains it drives CHECK-fail on these; a bad
+  // request must not take the server down.
   const api::ExecutionPolicy& policy = tenant_options.policy;
   if (policy.mode == api::ExecutionPolicy::Mode::kUntil) {
-    // Session::Open CHECK-fails on these; a bad request must not take the
-    // server down. Comparisons are written so that NaN fails them.
+    // Comparisons are written so that NaN fails them.
     if (!(policy.confidence > 0.0 && policy.confidence < 1.0)) {
       return Status::InvalidArgument("UNTIL confidence must be in (0, 1)");
     }
     if (!(std::isfinite(policy.eps) && policy.eps > 0.0)) {
       return Status::InvalidArgument("UNTIL eps must be finite and > 0");
     }
+  }
+  if ((policy.mode == api::ExecutionPolicy::Mode::kUntil ||
+       policy.mode == api::ExecutionPolicy::Mode::kParallel) &&
+      policy.num_chains == 0) {
+    return Status::InvalidArgument("the policy needs at least one chain");
+  }
+  if (policy.num_shards > 1) {
+    // A server holds a proposal factory, not a shard plan.
+    return Status::InvalidArgument("the server runs unsharded chains only");
   }
   auto tenant = std::make_shared<Tenant>();
   {

@@ -522,11 +522,12 @@ TEST(CompiledScoringTest, HotBlockLayoutsWalkIdenticalTrajectories) {
 }
 
 // End-to-end across the mirror boundary: Queries 1–4 on one shared chain,
-// which mirrors per Step(k) flush, must answer bitwise like a hand-rolled
-// loop that crosses into the DB mirror after every step — k × Step(), then
-// TakeDeltas and MaterializedView::Apply per query. The chain starts from a
-// shuffled world without burn-in, so its first intervals accept more than
-// kMirrorBatchLimit assignments and Step(k) flushes mid-batch.
+// which mirrors once per interval, must answer bitwise like a hand-rolled
+// loop on a bare sampler that crosses into the DB mirror after every step —
+// k × Step(), then TakeDeltas and MaterializedView::Apply per query. The
+// chain starts from a shuffled world without burn-in, so its first
+// intervals accept more than kMirrorBatchLimit assignments and Step(k)
+// flushes mid-interval.
 TEST(CompiledScoringTest, SharedChainBatchedMirrorMatchesPerStepOnQueries) {
   CompiledVsNaive fixture(6000, 61);
   pdb::ProbabilisticDatabase& batched_pdb = *fixture.tokens.pdb;
@@ -545,22 +546,29 @@ TEST(CompiledScoringTest, SharedChainBatchedMirrorMatchesPerStepOnQueries) {
   const std::vector<const char*> queries = {kQuery1, kQuery2, kQuery3,
                                             kQuery4};
 
-  DocumentBatchProposal batched_proposal(&fixture.tokens.docs, batch);
-  pdb::SharedChainEvaluator batched(&batched_pdb, &batched_proposal, options);
-  size_t largest_flush = 0;
-  batched.sampler().AddListener([&](const Stream& applied) {
-    largest_flush = std::max(largest_flush, applied.size());
-  });
+  pdb::SharedChainEvaluator batched(
+      &batched_pdb,
+      pdb::SerialPlan([&fixture, &batch](pdb::ProbabilisticDatabase&)
+                          -> std::unique_ptr<infer::Proposal> {
+        return std::make_unique<DocumentBatchProposal>(&fixture.tokens.docs,
+                                                       batch);
+      }),
+      options);
   std::vector<ra::PlanPtr> plans;
   for (const char* query : queries) {
     plans.push_back(sql::PlanQuery(query, batched_pdb.db()));
     batched.AddQuery(plans.back().get());
   }
   batched.RunQuantum(kSamples);
-  EXPECT_GE(largest_flush, infer::MetropolisHastings::kMirrorBatchLimit);
 
   DocumentBatchProposal per_step_proposal(&fixture.tokens.docs, batch);
   auto sampler = per_step_pdb->MakeSampler(&per_step_proposal, options.seed);
+  // Assignments applied per interval. The two trajectories are asserted
+  // equal below, so the largest count is also the shared chain's.
+  size_t interval_applied = 0;
+  size_t largest_interval = 0;
+  sampler->AddListener(
+      [&](const Stream& applied) { interval_applied += applied.size(); });
   std::vector<std::unique_ptr<view::MaterializedView>> views;
   for (const char* query : queries) {
     plans.push_back(sql::PlanQuery(query, per_step_pdb->db()));
@@ -570,7 +578,9 @@ TEST(CompiledScoringTest, SharedChainBatchedMirrorMatchesPerStepOnQueries) {
   std::vector<pdb::QueryAnswer> per_step(queries.size());
   view::DeltaSet deltas;
   for (size_t sample = 0; sample < kSamples; ++sample) {
+    interval_applied = 0;
     for (uint64_t i = 0; i < options.steps_per_sample; ++i) sampler->Step();
+    largest_interval = std::max(largest_interval, interval_applied);
     per_step_pdb->TakeDeltas(&deltas);
     for (size_t q = 0; q < queries.size(); ++q) {
       views[q]->Apply(deltas);
@@ -580,6 +590,7 @@ TEST(CompiledScoringTest, SharedChainBatchedMirrorMatchesPerStepOnQueries) {
       per_step[q].ObserveSampleContaining(distinct);
     }
   }
+  EXPECT_GE(largest_interval, infer::MetropolisHastings::kMirrorBatchLimit);
 
   for (size_t q = 0; q < queries.size(); ++q) {
     const pdb::QueryAnswer& a = batched.answer(q);

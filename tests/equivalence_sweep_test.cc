@@ -42,7 +42,8 @@ TEST_P(EquivalenceSweep, NaiveEqualsMaterializedOnIdenticalChains) {
   ra::PlanPtr plan_a = sql::PlanQuery(query, world_a->db());
   ra::PlanPtr plan_b = sql::PlanQuery(query, world_b->db());
 
-  auto make_proposal = [&]() -> std::unique_ptr<infer::Proposal> {
+  auto make_proposal =
+      [&](pdb::ProbabilisticDatabase&) -> std::unique_ptr<infer::Proposal> {
     if (bio_kernel) {
       return std::make_unique<ie::BioConstrainedProposal>(
           &tokens.docs, /*proposals_per_batch=*/300);
@@ -50,17 +51,16 @@ TEST_P(EquivalenceSweep, NaiveEqualsMaterializedOnIdenticalChains) {
     return std::make_unique<ie::DocumentBatchProposal>(
         &tokens.docs, ie::NerProposalOptions{.proposals_per_batch = 300});
   };
-  auto proposal_a = make_proposal();
-  auto proposal_b = make_proposal();
 
   const pdb::EvaluatorOptions options{
       .steps_per_sample = 400,
       .burn_in = 800,
       .seed = 1000 + static_cast<uint64_t>(seed)};
-  pdb::SharedChainEvaluator naive(world_a.get(), proposal_a.get(), options,
-                                  /*materialized=*/false);
-  pdb::SharedChainEvaluator materialized(world_b.get(), proposal_b.get(),
-                                         options);
+  pdb::SharedChainEvaluator naive(
+      world_a.get(), pdb::SerialPlan(make_proposal), options,
+      /*materialized=*/false);
+  pdb::SharedChainEvaluator materialized(
+      world_b.get(), pdb::SerialPlan(make_proposal), options);
   naive.AddQuery(plan_a.get());
   materialized.AddQuery(plan_b.get());
   naive.RunQuantum(25);

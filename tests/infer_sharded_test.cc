@@ -1,8 +1,9 @@
 // Sharded execution correctness (document-sharded inference):
 //
 //   * the shard-step split and locality contract primitives,
-//   * S = 1 bitwise-differential oracle — a single-shard plan must replay
-//     the serial shared chain exactly on Queries 1–4,
+//   * S = 1 bitwise-differential oracle — Serial(), Naive() and a
+//     single-shard document plan must replay a hand-written serial loop on
+//     a bare MetropolisHastings exactly on Queries 1–4,
 //   * fixed S > 1 bitwise reproducibility: repeated threaded runs, and
 //     threaded vs sequential stepping, must agree bitwise (the fixed-order
 //     merge discipline),
@@ -15,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "api/session.h"
@@ -28,6 +31,9 @@
 #include "infer/shard_runner.h"
 #include "pdb/probabilistic_database.h"
 #include "pdb/shard_plan.h"
+#include "ra/executor.h"
+#include "sql/binder.h"
+#include "view/incremental.h"
 
 namespace fgpdb {
 namespace {
@@ -134,39 +140,113 @@ TEST(ShardedInferenceTest, SkipChainCertifiesDocumentPartition) {
   EXPECT_TRUE(plan.partition.empty());
 }
 
+// The serial chain written out by hand on a bare sampler, as the paper
+// describes it: MakeSampler's listener mirrors every flush into the tables
+// and the delta accumulator, the burn-in is mirrored and its deltas
+// discarded, and each sample steps k and then folds Queries 1–4. Alg. 1
+// applies the drained deltas to views built after the burn-in; Alg. 3
+// drops them and re-runs each query over the world. This is the reference
+// every chain built from a one-shard plan must replay bitwise.
+struct SerialReference {
+  std::vector<pdb::QueryAnswer> answers;
+  double acceptance_rate = 0.0;
+};
+
+SerialReference RunSerialReference(NerFixture& fixture,
+                                   const pdb::EvaluatorOptions& options,
+                                   uint64_t samples, bool materialized) {
+  std::unique_ptr<pdb::ProbabilisticDatabase> world =
+      fixture.tokens.pdb->Snapshot();
+  std::unique_ptr<infer::Proposal> proposal = fixture.MakeFactory()(*world);
+  auto sampler = world->MakeSampler(proposal.get(), options.seed);
+  sampler->Run(options.burn_in);
+  world->DiscardDeltas();
+  std::vector<ra::PlanPtr> plans;
+  std::vector<std::unique_ptr<view::MaterializedView>> views;
+  for (const char* query : PaperQueries()) {
+    plans.push_back(sql::PlanQuery(query, world->db()));
+    if (materialized) {
+      views.push_back(std::make_unique<view::MaterializedView>(*plans.back()));
+      views.back()->Initialize(world->db());
+    }
+  }
+  SerialReference reference;
+  reference.answers.resize(plans.size());
+  view::DeltaSet deltas;
+  for (uint64_t sample = 0; sample < samples; ++sample) {
+    sampler->Run(options.steps_per_sample);
+    if (materialized) {
+      world->TakeDeltas(&deltas);
+    } else {
+      world->DiscardDeltas();
+    }
+    for (size_t q = 0; q < plans.size(); ++q) {
+      std::vector<Tuple> distinct;
+      if (materialized) {
+        views[q]->Apply(deltas);
+        views[q]->contents().ForEach(
+            [&](const Tuple& t, int64_t) { distinct.push_back(t); });
+      } else {
+        std::unordered_set<Tuple, TupleHasher> seen;
+        for (const Tuple& t : ra::Execute(*plans[q], world->db())) {
+          if (seen.insert(t).second) distinct.push_back(t);
+        }
+      }
+      reference.answers[q].ObserveSampleContaining(distinct);
+    }
+  }
+  reference.acceptance_rate = sampler->acceptance_rate();
+  return reference;
+}
+
 TEST(ShardedInferenceTest, SingleShardSessionBitwiseMatchesSerial) {
+  // Serial() and Naive() build their chain from the one-shard SerialPlan,
+  // Sharded(1) from the document plan's single shard. Each must answer
+  // Queries 1–4 bitwise like the hand-written serial loop: same seed, same
+  // trajectory, same tables after the burn-in.
   const pdb::EvaluatorOptions options{
       .steps_per_sample = 400, .burn_in = 800, .seed = 2024};
+  const uint64_t kSamples = 25;
+  NerFixture fixture(500);
+  const SerialReference views =
+      RunSerialReference(fixture, options, kSamples, /*materialized=*/true);
+  const SerialReference naive =
+      RunSerialReference(fixture, options, kSamples, /*materialized=*/false);
+  ASSERT_FALSE(views.answers[0].Sorted().empty());
 
-  NerFixture serial_fixture(500);
-  auto serial = api::Session::Open(
-      {.database = serial_fixture.tokens.pdb.get(),
-       .proposal_factory = serial_fixture.MakeFactory(),
-       .evaluator = options});
-  std::vector<api::ResultHandle> serial_handles;
-  for (const char* query : PaperQueries()) {
-    serial_handles.push_back(serial->Register(query));
-  }
-  serial->Run(25);
-
-  NerFixture sharded_fixture(500);
-  auto sharded = api::Session::Open(
-      {.database = sharded_fixture.tokens.pdb.get(),
-       .shard_plan = sharded_fixture.MakePlan(1),
-       .evaluator = options,
-       .policy = api::ExecutionPolicy::Sharded(1)});
-  EXPECT_EQ(sharded->num_shards(), 1u);
-  std::vector<api::ResultHandle> sharded_handles;
-  for (const char* query : PaperQueries()) {
-    sharded_handles.push_back(sharded->Register(query));
-  }
-  sharded->Run(25);
-
-  for (size_t q = 0; q < PaperQueries().size(); ++q) {
-    const api::QueryProgress want = serial_handles[q].Snapshot();
-    const api::QueryProgress got = sharded_handles[q].Snapshot();
-    ExpectBitwiseEqual(got.answer, want.answer, PaperQueries()[q]);
-    EXPECT_EQ(got.acceptance_rate, want.acceptance_rate);
+  struct Case {
+    const char* label;
+    api::ExecutionPolicy policy;
+    bool sharded;
+    const SerialReference* want;
+  };
+  const Case cases[] = {
+      {"Serial()", api::ExecutionPolicy::Serial(), false, &views},
+      {"Naive()", api::ExecutionPolicy::Naive(), false, &naive},
+      {"Sharded(1)", api::ExecutionPolicy::Sharded(1), true, &views},
+  };
+  for (const Case& c : cases) {
+    api::SessionOptions session_options{.database = fixture.tokens.pdb.get(),
+                                        .evaluator = options,
+                                        .policy = c.policy};
+    if (c.sharded) {
+      session_options.shard_plan = fixture.MakePlan(1);
+    } else {
+      session_options.proposal_factory = fixture.MakeFactory();
+    }
+    auto session = api::Session::Open(std::move(session_options));
+    EXPECT_EQ(session->num_shards(), 1u) << c.label;
+    std::vector<api::ResultHandle> handles;
+    for (const char* query : PaperQueries()) {
+      handles.push_back(session->Register(query));
+    }
+    session->Run(kSamples);
+    for (size_t q = 0; q < PaperQueries().size(); ++q) {
+      const api::QueryProgress got = handles[q].Snapshot();
+      SCOPED_TRACE(c.label);
+      ExpectBitwiseEqual(got.answer, c.want->answers[q], PaperQueries()[q]);
+      EXPECT_EQ(got.acceptance_rate, c.want->acceptance_rate);
+    }
   }
 }
 
@@ -201,7 +281,7 @@ std::vector<pdb::QueryAnswer> RunShardedBundle(
 TEST(ShardedInferenceTest, FixedShardCountReproducibleAcrossThreadedRuns) {
   const api::ExecutionPolicy threaded = api::ExecutionPolicy::Sharded(4);
   api::ExecutionPolicy sequential = threaded;
-  sequential.use_threads = false;
+  sequential.max_threads = 1;
   const auto first = RunShardedBundle(threaded, 21, 99);
   const auto second = RunShardedBundle(threaded, 21, 99);
   const auto unthreaded = RunShardedBundle(sequential, 21, 99);

@@ -41,10 +41,13 @@ TEST(IntegrationTest, TrainedPipelineAnswersQuery1Accurately) {
 
   // 3. Evaluate Query 1 with view maintenance.
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, tokens.pdb->db());
-  ie::DocumentBatchProposal proposal(&tokens.docs,
-                                     {.proposals_per_batch = 800});
   pdb::SharedChainEvaluator evaluator(
-      tokens.pdb.get(), &proposal,
+      tokens.pdb.get(),
+      pdb::SerialPlan([&tokens](pdb::ProbabilisticDatabase&)
+                          -> std::unique_ptr<infer::Proposal> {
+        return std::make_unique<ie::DocumentBatchProposal>(
+            &tokens.docs, ie::NerProposalOptions{.proposals_per_batch = 800});
+      }),
       {.steps_per_sample = 1000, .burn_in = 30000, .seed = 23});
   evaluator.AddQuery(plan.get());
   evaluator.RunQuantum(150);
@@ -184,9 +187,12 @@ TEST(IntegrationTest, AggregateAnswerDistributionIsPeaked) {
   model.InitializeFromCorpusStatistics(tokens);
   tokens.pdb->set_model(&model);
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery2, tokens.pdb->db());
-  ie::DocumentBatchProposal proposal(&tokens.docs);
   pdb::SharedChainEvaluator evaluator(
-      tokens.pdb.get(), &proposal,
+      tokens.pdb.get(),
+      pdb::SerialPlan([&tokens](pdb::ProbabilisticDatabase&)
+                          -> std::unique_ptr<infer::Proposal> {
+        return std::make_unique<ie::DocumentBatchProposal>(&tokens.docs);
+      }),
       {.steps_per_sample = 500, .burn_in = 40000, .seed = 97});
   evaluator.AddQuery(plan.get());
   evaluator.RunQuantum(400);

@@ -36,11 +36,19 @@ struct NerFixture {
     tokens.pdb->set_model(model.get());
   }
 
-  pdb::ProposalFactory MakeFactory() {
-    return [this](pdb::ProbabilisticDatabase&) -> std::unique_ptr<infer::Proposal> {
+  pdb::ProposalFactory MakeFactory(size_t proposals_per_batch = 400) {
+    return [this, proposals_per_batch](pdb::ProbabilisticDatabase&)
+               -> std::unique_ptr<infer::Proposal> {
       return std::make_unique<ie::DocumentBatchProposal>(
-          &tokens.docs, ie::NerProposalOptions{.proposals_per_batch = 400});
+          &tokens.docs,
+          ie::NerProposalOptions{.proposals_per_batch = proposals_per_batch});
     };
+  }
+
+  /// A serial chain over the default §5.1 kernel configuration.
+  pdb::ShardPlan DefaultBatchPlan() {
+    return pdb::SerialPlan(
+        MakeFactory(ie::NerProposalOptions{}.proposals_per_batch));
   }
 };
 
@@ -292,10 +300,8 @@ TEST(EvaluatorTest, AnswersConvergeWithMoreSamples) {
   // extreme than a 1-sample estimate's coarse {0,1} support would suggest.
   NerFixture fixture(400);
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, fixture.tokens.pdb->db());
-  ie::DocumentBatchProposal proposal(&fixture.tokens.docs,
-                                     {.proposals_per_batch = 400});
   pdb::SharedChainEvaluator evaluator(
-      fixture.tokens.pdb.get(), &proposal,
+      fixture.tokens.pdb.get(), pdb::SerialPlan(fixture.MakeFactory()),
       {.steps_per_sample = 200, .burn_in = 4000, .seed = 3});
   evaluator.AddQuery(plan.get());
   evaluator.RunQuantum(300);
@@ -314,12 +320,10 @@ TEST(EvaluatorTest, CurrentAnswerSetMatchesBetweenEvaluators) {
   auto world_b = fixture.tokens.pdb->Clone();
   ra::PlanPtr plan_a = sql::PlanQuery(ie::kQuery1, world_a->db());
   ra::PlanPtr plan_b = sql::PlanQuery(ie::kQuery1, world_b->db());
-  ie::DocumentBatchProposal pa(&fixture.tokens.docs);
-  ie::DocumentBatchProposal pb(&fixture.tokens.docs);
-  pdb::SharedChainEvaluator naive(world_a.get(), &pa,
+  pdb::SharedChainEvaluator naive(world_a.get(), fixture.DefaultBatchPlan(),
                                   {.steps_per_sample = 100, .seed = 5},
                                   /*materialized=*/false);
-  pdb::SharedChainEvaluator mat(world_b.get(), &pb,
+  pdb::SharedChainEvaluator mat(world_b.get(), fixture.DefaultBatchPlan(),
                                 {.steps_per_sample = 100, .seed = 5});
   naive.AddQuery(plan_a.get());
   mat.AddQuery(plan_b.get());
@@ -338,9 +342,8 @@ TEST(EvaluatorTest, ThinningIntervalStaysFixed) {
   // update takes, so a fixed-seed run never depends on timing.
   NerFixture fixture(1000);
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, fixture.tokens.pdb->db());
-  ie::DocumentBatchProposal proposal(&fixture.tokens.docs);
   pdb::SharedChainEvaluator evaluator(
-      fixture.tokens.pdb.get(), &proposal,
+      fixture.tokens.pdb.get(), fixture.DefaultBatchPlan(),
       {.steps_per_sample = 500, .burn_in = 300});
   evaluator.AddQuery(plan.get());
   evaluator.RunQuantum(10);
@@ -360,12 +363,12 @@ TEST(EvaluatorTest, QuantaReplayOneRunBitwise) {
   NerFixture fixture(400);
   auto world_a = fixture.tokens.pdb->Clone();
   auto world_b = fixture.tokens.pdb->Clone();
-  ie::DocumentBatchProposal pa(&fixture.tokens.docs);
-  ie::DocumentBatchProposal pb(&fixture.tokens.docs);
   const pdb::EvaluatorOptions options{
       .steps_per_sample = 150, .burn_in = 400, .seed = 9};
-  pdb::SharedChainEvaluator whole(world_a.get(), &pa, options);
-  pdb::SharedChainEvaluator sliced(world_b.get(), &pb, options);
+  pdb::SharedChainEvaluator whole(world_a.get(), fixture.DefaultBatchPlan(),
+                                  options);
+  pdb::SharedChainEvaluator sliced(world_b.get(), fixture.DefaultBatchPlan(),
+                                   options);
   std::vector<ra::PlanPtr> plans;
   for (const char* query :
        {ie::kQuery1, ie::kQuery2, ie::kQuery3, ie::kQuery4}) {
@@ -396,13 +399,12 @@ TEST(EvaluatorTest, MidRunRegistrationFoldsPendingDeltas) {
   NerFixture fixture(400);
   auto world_a = fixture.tokens.pdb->Clone();
   auto world_b = fixture.tokens.pdb->Clone();
-  ie::DocumentBatchProposal pa(&fixture.tokens.docs);
-  ie::DocumentBatchProposal pb(&fixture.tokens.docs);
   const pdb::EvaluatorOptions options{
       .steps_per_sample = 200, .burn_in = 400, .seed = 17};
-  pdb::SharedChainEvaluator mat(world_a.get(), &pa, options);
-  pdb::SharedChainEvaluator naive(world_b.get(), &pb, options,
-                                  /*materialized=*/false);
+  pdb::SharedChainEvaluator mat(world_a.get(), fixture.DefaultBatchPlan(),
+                                options);
+  pdb::SharedChainEvaluator naive(world_b.get(), fixture.DefaultBatchPlan(),
+                                  options, /*materialized=*/false);
   std::vector<ra::PlanPtr> plans;
   auto add = [&plans](pdb::SharedChainEvaluator* evaluator,
                       pdb::ProbabilisticDatabase* world, const char* query) {
@@ -413,8 +415,8 @@ TEST(EvaluatorTest, MidRunRegistrationFoldsPendingDeltas) {
   add(&naive, world_b.get(), ie::kQuery1);
   mat.RunQuantum(10);
   naive.RunQuantum(10);
-  mat.sampler().Run(3000);
-  naive.sampler().Run(3000);
+  mat.Step(3000);
+  naive.Step(3000);
   add(&mat, world_a.get(), ie::kQuery3);
   add(&naive, world_b.get(), ie::kQuery3);
   mat.RunQuantum(30);

@@ -36,7 +36,8 @@ struct ParallelFixture {
   /// Single-plan evaluation through the multi-plan driver.
   QueryAnswer Evaluate(const ra::PlanNode& plan,
                        const ParallelOptions& options) {
-    return EvaluateParallelMulti(*tokens.pdb, {&plan}, MakeFactory(), options)
+    return EvaluateParallelMulti(*tokens.pdb, {&plan},
+                                 SerialPlan(MakeFactory()), options)
         .answers[0];
   }
 };
@@ -54,16 +55,15 @@ TEST(ParallelEvaluatorTest, MergedSampleCountIsSumOfChains) {
 
 TEST(ParallelEvaluatorTest, ThreadedAndSequentialAgree) {
   // Chains are seeded deterministically per-index, so running them on
-  // threads or sequentially must give identical merged answers.
+  // threads or sequentially (one thread) must give identical merged answers.
   ParallelFixture fixture;
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, fixture.tokens.pdb->db());
   ParallelOptions options;
   options.num_chains = 4;
   options.samples_per_chain = 8;
   options.chain_options = {.steps_per_sample = 150, .burn_in = 300, .seed = 2};
-  options.use_threads = true;
   const QueryAnswer threaded = fixture.Evaluate(*plan, options);
-  options.use_threads = false;
+  options.max_threads = 1;
   const QueryAnswer sequential = fixture.Evaluate(*plan, options);
   EXPECT_EQ(threaded.SquaredError(sequential), 0.0);
 }
@@ -78,10 +78,9 @@ TEST(ParallelEvaluatorTest, ChainsBeyondCoreCountQueueOnThePool) {
   options.num_chains = 16;
   options.samples_per_chain = 4;
   options.chain_options = {.steps_per_sample = 100, .burn_in = 100, .seed = 7};
-  options.use_threads = true;
   const QueryAnswer threaded = fixture.Evaluate(*plan, options);
   EXPECT_EQ(threaded.num_samples(), 64u);
-  options.use_threads = false;
+  options.max_threads = 1;
   const QueryAnswer sequential = fixture.Evaluate(*plan, options);
   EXPECT_EQ(threaded.SquaredError(sequential), 0.0);
   EXPECT_EQ(threaded.Sorted(), sequential.Sorted());
@@ -96,10 +95,9 @@ TEST(ParallelEvaluatorTest, ExplicitThreadCapIsHonoredAndStable) {
   options.num_chains = 6;
   options.samples_per_chain = 5;
   options.chain_options = {.steps_per_sample = 120, .burn_in = 120, .seed = 11};
-  options.use_threads = true;
   options.max_threads = 2;
   const QueryAnswer capped = fixture.Evaluate(*plan, options);
-  options.use_threads = false;
+  options.max_threads = 1;
   const QueryAnswer sequential = fixture.Evaluate(*plan, options);
   EXPECT_EQ(capped.num_samples(), 30u);
   EXPECT_EQ(capped.SquaredError(sequential), 0.0);
@@ -134,7 +132,7 @@ TEST(ParallelEvaluatorTest, MoreChainsReduceError) {
   ref_options.samples_per_chain = 400;
   ref_options.chain_options = {.steps_per_sample = 200, .burn_in = 2000,
                                .seed = 777};
-  ref_options.use_threads = false;
+  ref_options.max_threads = 1;
   const QueryAnswer reference = fixture.Evaluate(*plan, ref_options);
 
   auto error_with_chains = [&](size_t chains, uint64_t seed) {
@@ -143,7 +141,7 @@ TEST(ParallelEvaluatorTest, MoreChainsReduceError) {
     options.samples_per_chain = 12;
     options.chain_options = {.steps_per_sample = 200, .burn_in = 200,
                              .seed = seed};
-    options.use_threads = false;
+    options.max_threads = 1;
     const QueryAnswer answer = fixture.Evaluate(*plan, options);
     return answer.SquaredError(reference);
   };
@@ -164,7 +162,7 @@ TEST(ParallelEvaluatorTest, NaivePathProducesSameAnswersAsMaterialized) {
   options.num_chains = 2;
   options.samples_per_chain = 6;
   options.chain_options = {.steps_per_sample = 100, .burn_in = 100, .seed = 3};
-  options.use_threads = false;
+  options.max_threads = 1;
   options.materialized = true;
   const QueryAnswer mat = fixture.Evaluate(*plan, options);
   options.materialized = false;

@@ -304,17 +304,23 @@ TEST(ServeServerTest, SubmitValidation) {
   server.Drain();
   EXPECT_EQ(server.metrics().samples_drawn, 100u);
 
-  // Until policies outside confidence in (0, 1) or finite eps > 0 are
-  // refused before a tenant id is spent.
-  serve::TenantOptions bad_confidence;
-  bad_confidence.policy = api::ExecutionPolicy::Until(2.0, 0.1, 1);
-  serve::TenantOptions bad_eps;
-  bad_eps.policy = api::ExecutionPolicy::Until(0.95, std::nan(""), 1);
+  // Policies the session would abort on are refused before a tenant id is
+  // spent: Until outside confidence in (0, 1) or finite eps > 0, no chains
+  // under Until or Parallel, and shards (a server holds no shard plan).
+  const api::ExecutionPolicy bad_policies[] = {
+      api::ExecutionPolicy::Until(2.0, 0.1, 1),
+      api::ExecutionPolicy::Until(0.95, std::nan(""), 1),
+      api::ExecutionPolicy::Until(0.95, 0.1, 0),
+      api::ExecutionPolicy::Parallel(0),
+      api::ExecutionPolicy::Sharded(4),
+  };
   serve::TenantId other = 0;
-  EXPECT_EQ(server.CreateTenant(&other, bad_confidence).code,
-            serve::StatusCode::kInvalidArgument);
-  EXPECT_EQ(server.CreateTenant(&other, bad_eps).code,
-            serve::StatusCode::kInvalidArgument);
+  for (const api::ExecutionPolicy& policy : bad_policies) {
+    serve::TenantOptions bad;
+    bad.policy = policy;
+    EXPECT_EQ(server.CreateTenant(&other, bad).code,
+              serve::StatusCode::kInvalidArgument);
+  }
   ASSERT_TRUE(server.CreateTenant(&other).ok());
   EXPECT_EQ(other, id + 1);
 }

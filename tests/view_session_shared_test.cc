@@ -80,9 +80,8 @@ TEST(SessionSharedChainTest, QueryBundleMatchesStandaloneRunsBitwise) {
     const char* query = PaperQueries()[q];
     auto world = fixture.tokens.pdb->Clone();
     ra::PlanPtr plan = sql::PlanQuery(query, world->db());
-    ie::DocumentBatchProposal proposal(&fixture.tokens.docs,
-                                       {.proposals_per_batch = 300});
-    pdb::SharedChainEvaluator standalone(world.get(), &proposal, options);
+    pdb::SharedChainEvaluator standalone(
+        world.get(), pdb::SerialPlan(fixture.MakeFactory()), options);
     standalone.AddQuery(plan.get());
     standalone.RunQuantum(30);
     ExpectBitwiseEqual(handles[q].Snapshot().answer, standalone.answer(0),
@@ -114,7 +113,8 @@ TEST(SessionSharedChainTest, ParallelBundleMatchesPerQueryParallelRuns) {
     const char* query = PaperQueries()[q];
     ra::PlanPtr plan = sql::PlanQuery(query, fixture.tokens.pdb->db());
     const pdb::MultiQueryAnswer standalone = pdb::EvaluateParallelMulti(
-        *fixture.tokens.pdb, {plan.get()}, fixture.MakeFactory(), parallel);
+        *fixture.tokens.pdb, {plan.get()},
+        pdb::SerialPlan(fixture.MakeFactory()), parallel);
     ExpectBitwiseEqual(handles[q].Snapshot().answer, standalone.answers[0],
                        query);
   }
@@ -140,10 +140,8 @@ TEST(SessionSharedChainTest, MidRunRegistrationMatchesLateStartedChain) {
 
   auto world = fixture.tokens.pdb->Clone();
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery3, world->db());
-  ie::DocumentBatchProposal proposal(&fixture.tokens.docs,
-                                     {.proposals_per_batch = 300});
   pdb::SharedChainEvaluator standalone(
-      world.get(), &proposal,
+      world.get(), pdb::SerialPlan(fixture.MakeFactory()),
       {.steps_per_sample = 250, .burn_in = 500 + 10 * 250, .seed = 9});
   standalone.AddQuery(plan.get());
   standalone.RunQuantum(20);
