@@ -53,13 +53,7 @@ int main(int argc, char** argv) {
   // Burn the base world so both kernels start from stationarity, then
   // estimate truth with the targeted kernel (it samples the conditional the
   // query depends on, with far better effective sample size).
-  {
-    auto proposal = bench.MakeProposal();
-    auto sampler =
-        bench.tokens.pdb->MakeSampler(proposal.get(), DeriveSeed(master, 1));
-    sampler->Run(DefaultBurnIn(n));
-    bench.tokens.pdb->DiscardDeltas();
-  }
+  bench.BurnIn(DefaultBurnIn(n), DeriveSeed(master, 1));
   const uint64_t k = std::max<uint64_t>(50, n / 500);
   const pdb::ShardPlan targeted_plan = pdb::SerialPlan(
       [&](pdb::ProbabilisticDatabase&) -> std::unique_ptr<infer::Proposal> {
@@ -68,7 +62,7 @@ int main(int argc, char** argv) {
       });
   pdb::QueryAnswer truth;
   {
-    auto world = bench.tokens.pdb->Clone();
+    auto world = bench.tokens.pdb->Snapshot();
     ra::PlanPtr plan = sql::PlanQuery(ie::kQuery4, world->db());
     pdb::SharedChainEvaluator evaluator(
         world.get(), targeted_plan,
@@ -88,7 +82,7 @@ int main(int argc, char** argv) {
     const uint64_t samples = budget / k;
     // Full-corpus §5.1 kernel.
     {
-      auto world = bench.tokens.pdb->Clone();
+      auto world = bench.tokens.pdb->Snapshot();
       ra::PlanPtr plan = sql::PlanQuery(ie::kQuery4, world->db());
       pdb::SharedChainEvaluator evaluator(
           world.get(), bench.MakeSerialPlan(),
@@ -100,7 +94,7 @@ int main(int argc, char** argv) {
     }
     // Targeted kernel.
     {
-      auto world = bench.tokens.pdb->Clone();
+      auto world = bench.tokens.pdb->Snapshot();
       ra::PlanPtr plan = sql::PlanQuery(ie::kQuery4, world->db());
       pdb::SharedChainEvaluator evaluator(
           world.get(), targeted_plan,

@@ -2,8 +2,8 @@
 //
 // Scale: every bench honors FGPDB_BENCH_SCALE (default 1.0) so the suite
 // finishes in minutes on one core by default but can be pushed toward the
-// paper's 10M-tuple runs (e.g. FGPDB_BENCH_SCALE=10). See EXPERIMENTS.md
-// for the mapping between default sizes and the paper's.
+// paper's 10M-tuple runs (e.g. FGPDB_BENCH_SCALE=10). docs/BENCHMARKS.md
+// maps each bench's default sizes to the paper's.
 #ifndef FGPDB_BENCH_BENCH_COMMON_H_
 #define FGPDB_BENCH_BENCH_COMMON_H_
 
@@ -106,6 +106,16 @@ struct NerBench {
           return MakeProposal(proposals_per_batch);
         });
   }
+
+  /// Burns the base world in place: `steps` walk-steps of the serial chain
+  /// at `seed`, after which the tables hold the burned-in world and no
+  /// deltas are pending. Arms that snapshot the base afterwards all start
+  /// from the same stationary world.
+  void BurnIn(uint64_t steps, uint64_t seed) {
+    pdb::SharedChainEvaluator(tokens.pdb.get(), MakeSerialPlan(),
+                              {.burn_in = steps, .seed = seed})
+        .Initialize();
+  }
 };
 
 /// Walk-steps needed to mix away from the all-'O' initialization. The §5.1
@@ -124,7 +134,7 @@ inline pdb::QueryAnswer EstimateGroundTruth(const NerBench& bench,
                                             uint64_t samples,
                                             uint64_t steps_per_sample,
                                             uint64_t seed = 314159) {
-  auto world = bench.tokens.pdb->Clone();
+  auto world = bench.tokens.pdb->Snapshot();
   ra::PlanPtr plan = sql::PlanQuery(query, world->db());
   pdb::SharedChainEvaluator evaluator(
       world.get(), bench.MakeSerialPlan(),

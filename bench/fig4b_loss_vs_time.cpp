@@ -4,7 +4,7 @@
 //
 // Expected shape: both decrease ~monotonically (the any-time property); the
 // materialized curve reaches near-zero before the naive curve halves.
-// Also prints the DESIGN.md thinning ablation (the materialized evaluator's
+// Also prints the thinning ablation (the materialized evaluator's
 // convergence for several k) and the adaptive run-until-error-bound rows:
 // ExecutionPolicy::Until stopping on its own error estimate versus the same
 // multi-chain evaluator provisioned with a conservative fixed sample count.
@@ -101,14 +101,14 @@ int main(int argc, char** argv) {
 
   const pdb::EvaluatorOptions options{.steps_per_sample = k, .burn_in = 0,
                                       .seed = curve_seed};
-  auto world_naive = bench.tokens.pdb->Clone();
+  auto world_naive = bench.tokens.pdb->Snapshot();
   ra::PlanPtr plan_naive = sql::PlanQuery(ie::kQuery1, world_naive->db());
   pdb::SharedChainEvaluator naive(world_naive.get(), bench.MakeSerialPlan(),
                                   options, /*materialized=*/false);
   naive.AddQuery(plan_naive.get());
   const auto naive_curve = LossCurve(naive, truth, samples);
 
-  auto world_mat = bench.tokens.pdb->Clone();
+  auto world_mat = bench.tokens.pdb->Snapshot();
   ra::PlanPtr plan_mat = sql::PlanQuery(ie::kQuery1, world_mat->db());
   pdb::SharedChainEvaluator materialized(world_mat.get(),
                                          bench.MakeSerialPlan(), options);
@@ -216,12 +216,12 @@ int main(int argc, char** argv) {
                "reference's own half-width; multimodal tuples put a floor "
                "under both sides' spread that only chain count lowers)\n";
 
-  // --- Ablation: thinning interval k (DESIGN.md) ---------------------------
+  // --- Ablation: thinning interval k ---------------------------------------
   std::cout << "\n=== Ablation: thinning interval k (materialized) ===\n";
   TablePrinter ablation({"k", "samples to half error", "seconds"});
   for (uint64_t k_ab : {k / 4, k, k * 4}) {
     if (k_ab == 0) continue;
-    auto world = bench.tokens.pdb->Clone();
+    auto world = bench.tokens.pdb->Snapshot();
     ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, world->db());
     pdb::SharedChainEvaluator evaluator(
         world.get(), bench.MakeSerialPlan(),

@@ -31,16 +31,10 @@ int main(int argc, char** argv) {
 
   // The paper copies an existing 10M-tuple world eight times; the copies
   // start at the chain's current state, not at the all-'O' initialization.
-  // Mirror that: burn the base world to stationarity once, then clone.
-  // Without this, every chain shares the same transient *bias* and
+  // Mirror that: burn the base world to stationarity once, then snapshot
+  // it. Without this, every chain shares the same transient *bias* and
   // averaging cannot reduce it — the Fig. 5 effect is variance reduction.
-  {
-    auto proposal = bench.MakeProposal();
-    auto sampler =
-        bench.tokens.pdb->MakeSampler(proposal.get(), DeriveSeed(master, 1));
-    sampler->Run(DefaultBurnIn(n));
-    bench.tokens.pdb->DiscardDeltas();
-  }
+  bench.BurnIn(DefaultBurnIn(n), DeriveSeed(master, 1));
 
   const pdb::ShardPlan serial_plan = bench.MakeSerialPlan();
 

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   auto run_query = [&](const char* query, uint64_t stream) {
     const pdb::QueryAnswer truth =
         EstimateGroundTruth(bench, query, 1200, k, DeriveSeed(master, stream));
-    auto world = bench.tokens.pdb->Clone();
+    auto world = bench.tokens.pdb->Snapshot();
     ra::PlanPtr plan = sql::PlanQuery(query, world->db());
     pdb::SharedChainEvaluator evaluator(
         world.get(), bench.MakeSerialPlan(),

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
             << "over " << HumanCount(static_cast<double>(n))
             << " tuples (master seed " << master << ") ===\n\n";
   NerBench bench(n, DeriveSeed(master, 0));
-  auto world = bench.tokens.pdb->Clone();
+  auto world = bench.tokens.pdb->Snapshot();
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery2, world->db());
   pdb::SharedChainEvaluator evaluator(
       world.get(), bench.MakeSerialPlan(),

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
             << master << ") ===\n"
             << "query: " << ie::kQuery4 << "\n\n";
   NerBench bench(n, DeriveSeed(master, 0));
-  auto world = bench.tokens.pdb->Clone();
+  auto world = bench.tokens.pdb->Snapshot();
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery4, world->db());
   pdb::SharedChainEvaluator evaluator(
       world.get(), bench.MakeSerialPlan(),
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       "SELECT T1.DOC_ID, T2.STRING FROM TOKEN T1, TOKEN T2 "
       "WHERE T1.STRING = 'Boston' AND T1.LABEL = 'B-ORG' "
       "AND T1.DOC_ID = T2.DOC_ID AND T2.LABEL = 'B-PER'";
-  auto world2 = bench.tokens.pdb->Clone();
+  auto world2 = bench.tokens.pdb->Snapshot();
   ra::PlanPtr plan2 = sql::PlanQuery(kQuery4PerDoc, world2->db());
   pdb::SharedChainEvaluator evaluator2(
       world2.get(), bench.MakeSerialPlan(),

@@ -1,7 +1,7 @@
 // Microbench for the Eq. 6 claim: maintaining a view through a bounded
 // delta costs O(|Δ|), versus O(|w|) to re-run the query — "as high as a
 // full degree of a polynomial" of savings (§4.2) — measured per operator
-// shape (σπ, γ, ⋈) and including the delta-coalescing ablation.
+// shape (σπ, γ, ⋈), plus the cost of row-granular delta coalescing.
 //
 // PR-3 additions: a join-heavy configuration (large per-round deltas, so
 // the ΔL⋈ΔR cross term dominates) and a many-tables-few-touched
@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "infer/metropolis_hastings.h"
 #include "ra/executor.h"
 #include "ra/plan.h"
 #include "util/rng.h"
@@ -26,11 +27,16 @@ uint64_t g_master = 2004;
 view::DeltaSet MakeLabelDeltas(NerBench& bench, size_t updates,
                                uint64_t seed) {
   auto proposal = bench.MakeProposal();
-  auto sampler = bench.tokens.pdb->MakeSampler(proposal.get(), seed);
+  infer::MetropolisHastings sampler(*bench.model, &bench.tokens.pdb->world(),
+                                    proposal.get(), seed);
+  sampler.AddListener(
+      [&bench](const std::vector<factor::AppliedAssignment>& applied) {
+        bench.tokens.pdb->MirrorApplied(applied);
+      });
   bench.tokens.pdb->DiscardDeltas();
   size_t applied = 0;
   while (applied < updates) {
-    if (sampler->Step()) ++applied;
+    if (sampler.Step()) ++applied;
   }
   return bench.tokens.pdb->TakeDeltas();
 }
@@ -263,7 +269,6 @@ void BM_ViewApplyDeltaManyTables(benchmark::State& state) {
     FGPDB_CHECK_LT(i, deltas.size());
     benchmark::DoNotOptimize(view.Apply(deltas[i++]));
   }
-#ifdef FGPDB_VIEW_ROUTED_PIPELINE
   const view::ApplyStats& stats = view.stats();
   state.counters["ops_visited_per_round"] =
       static_cast<double>(stats.operators_visited) /
@@ -271,33 +276,13 @@ void BM_ViewApplyDeltaManyTables(benchmark::State& state) {
   state.counters["ops_skipped_per_round"] =
       static_cast<double>(stats.operators_skipped) /
       static_cast<double>(stats.rounds);
-#endif
 }
 
-void BM_DeltaCoalescing(benchmark::State& state) {
-  // Ablation (DESIGN.md): per-row coalescing means a row flipped R times
-  // between evaluations contributes at most 2 delta entries, not 2R.
-  const size_t flips = static_cast<size_t>(state.range(0));
-  NerBench bench(10000, DeriveSeed(g_master, 5));
-  const auto domain = ie::LabelDomain();
-  for (auto _ : state) {
-    view::DeltaSet deltas;
-    uint32_t current = ie::kLabelO;
-    for (size_t i = 0; i < flips; ++i) {
-      const uint32_t next = (current + 1) % ie::kNumLabels;
-      bench.tokens.pdb->binding().ApplyToDatabase(
-          {{0, current, next}}, &bench.tokens.pdb->db(), &deltas);
-      current = next;
-    }
-    benchmark::DoNotOptimize(deltas.Get(ie::kTokenTable).distinct_size());
-  }
-}
-
-#ifdef FGPDB_VIEW_ROUTED_PIPELINE
 void BM_AccumulatorCoalescing(benchmark::State& state) {
   // Row-granular accumulation: a flip records one pre-image copy the first
   // time its row is touched; Flush emits at most one −/+ pair per changed
-  // row. Compare with BM_DeltaCoalescing's tuple-multiset path.
+  // row, so a row flipped R times between evaluations contributes at most
+  // 2 delta entries, not 2R.
   const size_t flips = static_cast<size_t>(state.range(0));
   NerBench bench(10000, DeriveSeed(g_master, 6));
   for (auto _ : state) {
@@ -314,7 +299,6 @@ void BM_AccumulatorCoalescing(benchmark::State& state) {
     benchmark::DoNotOptimize(deltas.Get(ie::kTokenTable).distinct_size());
   }
 }
-#endif
 
 }  // namespace
 
@@ -332,12 +316,8 @@ BENCHMARK(BM_ViewApplyDeltaJoinCross)->Arg(64)->Arg(256)
     ->Iterations(kCrossRounds)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ViewApplyDeltaManyTables)->Arg(1)->Arg(8)
     ->Iterations(kManyTableRounds)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_DeltaCoalescing)->Arg(10)->Arg(1000)
-    ->Unit(benchmark::kMicrosecond);
-#ifdef FGPDB_VIEW_ROUTED_PIPELINE
 BENCHMARK(BM_AccumulatorCoalescing)->Arg(10)->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
-#endif
 
 int main(int argc, char** argv) {
   g_master = InitBenchSeed(&argc, argv, "micro_view_maintenance");

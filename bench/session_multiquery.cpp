@@ -28,7 +28,7 @@ struct StandaloneResult {
 
 StandaloneResult RunStandalone(const NerBench& bench, const char* query,
                                const pdb::EvaluatorOptions& options) {
-  auto world = bench.tokens.pdb->Clone();
+  auto world = bench.tokens.pdb->Snapshot();
   ra::PlanPtr plan = sql::PlanQuery(query, world->db());
   pdb::SharedChainEvaluator evaluator(world.get(), bench.MakeSerialPlan(),
                                       options);

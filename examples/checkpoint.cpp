@@ -15,6 +15,8 @@
 #include "ie/queries.h"
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
+#include "pdb/shard_plan.h"
+#include "pdb/shared_chain.h"
 #include "storage/csv_io.h"
 
 using namespace fgpdb;
@@ -29,12 +31,19 @@ int main(int argc, char** argv) {
   ie::SkipChainNerModel model(tokens);
   model.InitializeFromCorpusStatistics(tokens);
   tokens.pdb->set_model(&model);
-  ie::DocumentBatchProposal proposal(&tokens.docs);
-  auto sampler = tokens.pdb->MakeSampler(&proposal, 7);
-  sampler->Run(200000);
-  tokens.pdb->DiscardDeltas();
+  const pdb::ProposalFactory document_batches =
+      [&tokens](pdb::ProbabilisticDatabase&)
+      -> std::unique_ptr<infer::Proposal> {
+    return std::make_unique<ie::DocumentBatchProposal>(&tokens.docs);
+  };
+  // The serial chain walks the stored world in place; after its burn-in the
+  // TOKEN relation holds the sampled world.
+  pdb::SharedChainEvaluator chain(tokens.pdb.get(),
+                                  pdb::SerialPlan(document_batches),
+                                  {.burn_in = 200000, .seed = 7});
+  chain.Initialize();
   std::cout << "Sampled 200k steps; acceptance rate "
-            << sampler->acceptance_rate() << "\n";
+            << chain.acceptance_rate() << "\n";
 
   // Checkpoint the world (plain CSV — the world is just a relation).
   std::filesystem::remove_all(dir);
@@ -72,10 +81,7 @@ int main(int argc, char** argv) {
   // front door (the session samples its own snapshot of `restored`).
   auto session = api::Session::Open(
       {.database = &restored,
-       .proposal_factory =
-           [&tokens](pdb::ProbabilisticDatabase&) -> std::unique_ptr<infer::Proposal> {
-             return std::make_unique<ie::DocumentBatchProposal>(&tokens.docs);
-           },
+       .proposal_factory = document_batches,
        .evaluator = {.steps_per_sample = 1000, .seed = 9}});
   api::ResultHandle query = session->Register(ie::kQuery1);
   session->Run(200);

@@ -17,8 +17,9 @@
 
 #include "api/session.h"
 #include "ie/entity_resolution.h"
-#include "infer/metropolis_hastings.h"
 #include "pdb/probabilistic_database.h"
+#include "pdb/shard_plan.h"
+#include "pdb/shared_chain.h"
 #include "util/stopwatch.h"
 
 using namespace fgpdb;
@@ -82,12 +83,17 @@ int main() {
               << std::setw(16) << pair.at(1).AsString() << "  " << p << "\n";
   }
 
-  // Under the facade the same machinery is available directly: sample a
-  // final clustering with a raw chain on the base world and show it.
-  ie::SplitMergeProposal proposal(model);
-  auto sampler = db.MakeSampler(&proposal, /*seed=*/7);
-  sampler->Run(70000);
-  db.DiscardDeltas();
+  // Under the facade the same machinery is available directly: walk the
+  // base world itself with the session's chain type (the one-shard serial
+  // plan) and show the final clustering it leaves in the relation.
+  pdb::SharedChainEvaluator chain(
+      &db,
+      pdb::SerialPlan([&model](pdb::ProbabilisticDatabase&)
+                          -> std::unique_ptr<infer::Proposal> {
+        return std::make_unique<ie::SplitMergeProposal>(model);
+      }),
+      {.burn_in = 70000, .seed = 7});
+  chain.Initialize();
   std::cout << "\nFinal sampled clustering (stored in the MENTION relation):\n";
   for (const auto& cluster : model.Clusters(db.world())) {
     std::cout << "  {";

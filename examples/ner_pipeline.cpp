@@ -1,7 +1,7 @@
 // Full NER pipeline (paper §5): generate a corpus, load the TOKEN relation,
 // train the skip-chain CRF with SampleRank, then answer Queries 1 and 4
 // with MCMC + view maintenance, reporting NER quality and probabilistic
-// answers. Also runs the linear-chain ablation from DESIGN.md.
+// answers. Also runs the linear-chain ablation (skip edges off).
 //
 //   ./examples/ner_pipeline [num_tokens] [train_steps]
 #include <algorithm>

@@ -2,8 +2,9 @@
 //
 // The paper evaluates on ten million tokens of 2004 New York Times text
 // with Stanford-NER reference labels — data we cannot redistribute. This
-// generator is the documented substitution (DESIGN.md #1): a generative
-// process that preserves the properties the experiments exercise:
+// generator is the documented substitution (docs/ARCHITECTURE.md §9): a
+// generative process that preserves the properties the experiments
+// exercise:
 //
 //   * documents composed of sentences over a background vocabulary,
 //   * PER/ORG/LOC/MISC mentions drawn from per-document entity pools, so

@@ -1,7 +1,7 @@
 // The paper's four evaluation queries (§5.3–§5.5, Appendix 9.1), verbatim
 // except Query 3, which the paper writes with correlated subqueries; our
 // SQL subset expresses the identical answer with COUNT_IF + HAVING
-// (see DESIGN.md).
+// (see docs/ARCHITECTURE.md §9).
 #ifndef FGPDB_IE_QUERIES_H_
 #define FGPDB_IE_QUERIES_H_
 

@@ -46,8 +46,8 @@ SkipChainNerModel::SkipChainNerModel(const TokenPdb& tokens,
 
   // Register the dense score tables. Entry values mirror Parameters::Get
   // sums term-by-term (see CompiledWeights), so compiled scores are
-  // bitwise-equal to the naive path. Emission and bias fold into one node
-  // table — the naive path adds them in exactly this order.
+  // bitwise-equal to probing Get per factor side. Emission and bias fold
+  // into one node table, summed in that order.
   const auto num_strings =
       static_cast<uint32_t>(std::max<size_t>(1, tokens.vocab.size()));
   const size_t node = compiled_.AddTable(
@@ -72,28 +72,6 @@ SkipChainNerModel::SkipChainNerModel(const TokenPdb& tokens,
   trans_table_ = compiled_.data(trans);
   trans_table_t_ = compiled_.data(trans_t);
   skip_table_ = compiled_.data(skip);
-}
-
-template <typename GetLabel>
-double SkipChainNerModel::NodeScore(VarId v, const GetLabel& get) const {
-  const uint32_t y = get(v);
-  return params_.Get(EmissionFeature(hot_->records[v].string_id, y)) +
-         params_.Get(BiasFeature(y));
-}
-
-template <typename GetLabel>
-double SkipChainNerModel::EdgeScore(VarId a, VarId b,
-                                    const GetLabel& get) const {
-  return params_.Get(TransitionFeature(get(a), get(b)));
-}
-
-template <typename GetLabel>
-double SkipChainNerModel::SkipScore(VarId a, VarId b,
-                                    const GetLabel& get) const {
-  const uint32_t ya = get(a);
-  if (ya != get(b)) return 0.0;
-  return params_.Get(SkipSameFeature()) +
-         params_.Get(SkipSameLabelFeature(ya));
 }
 
 void SkipChainNerModel::CollectTouched(const factor::Change& change,
@@ -221,7 +199,6 @@ bool SkipChainNerModel::ConditionalRow(const factor::World& world,
                                        VarId var, double* out,
                                        factor::ScoreScratch* scratch) const {
   (void)scratch;  // Row gathers need no per-call working memory.
-  if (!options_.use_compiled_scoring) return false;
   EnsureCompiled();
   if (const uint8_t* shadow = world.label_shadow()) {
     ConditionalRowImpl(var, out, ShadowLabels{shadow});
@@ -259,26 +236,6 @@ double SkipChainNerModel::CompiledLogScoreDelta(const factor::World& world,
   return delta;
 }
 
-double SkipChainNerModel::NaiveLogScoreDelta(const factor::World& world,
-                                             const factor::Change& change,
-                                             TouchedScratch* scratch) const {
-  CollectTouched(change, scratch);
-  const factor::PatchedWorld patched(world, change);
-  const auto old_label = [&](VarId v) { return world.Get(v); };
-  const auto new_label = [&](VarId v) { return patched.Get(v); };
-  double delta = 0.0;
-  for (VarId v : scratch->nodes) {
-    delta += NodeScore(v, new_label) - NodeScore(v, old_label);
-  }
-  for (const auto& [a, b] : scratch->edges) {
-    delta += EdgeScore(a, b, new_label) - EdgeScore(a, b, old_label);
-  }
-  for (const auto& [a, b] : scratch->skips) {
-    delta += SkipScore(a, b, new_label) - SkipScore(a, b, old_label);
-  }
-  return delta;
-}
-
 double SkipChainNerModel::LogScoreDelta(const factor::World& world,
                                         const factor::Change& change) const {
   return LogScoreDelta(world, change, &member_scratch_);
@@ -290,9 +247,6 @@ double SkipChainNerModel::LogScoreDelta(const factor::World& world,
   TouchedScratch* s = scratch != nullptr
                           ? static_cast<TouchedScratch*>(scratch)
                           : &member_scratch_;
-  if (!options_.use_compiled_scoring) {
-    return NaiveLogScoreDelta(world, change, s);
-  }
   EnsureCompiled();
   if (change.assignments.size() == 1) {
     const auto& a = change.assignments[0];
@@ -324,23 +278,8 @@ bool SkipChainNerModel::FactorsRespectPartition(
 }
 
 double SkipChainNerModel::LogScore(const factor::World& world) const {
-  const auto label = [&](VarId v) { return world.Get(v); };
   const size_t n = num_variables();
   double total = 0.0;
-  if (!options_.use_compiled_scoring) {
-    for (size_t i = 0; i < n; ++i) {
-      const VarId v = static_cast<VarId>(i);
-      const TokenHotBlock::Record& rec = hot_->records[v];
-      total += NodeScore(v, label);
-      if (options_.use_transitions && rec.next >= 0) {
-        total += EdgeScore(v, static_cast<VarId>(rec.next), label);
-      }
-      for (VarId p : SkipPartners(v)) {
-        if (p > v) total += SkipScore(v, p, label);  // Count each pair once.
-      }
-    }
-    return total;
-  }
   EnsureCompiled();
   for (size_t i = 0; i < n; ++i) {
     const VarId v = static_cast<VarId>(i);

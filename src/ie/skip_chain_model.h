@@ -19,9 +19,9 @@
 // [label] — so a walk step is pure array indexing: zero hashing, zero
 // allocation. Tables hold the same doubles Parameters::Get returns and
 // refresh lazily when the parameter version moves, so SampleRank training
-// and compiled inference compose; scores are bitwise-identical to the
-// uncompiled path (kept available via use_compiled_scoring=false as the
-// parity reference and ablation).
+// and compiled inference compose; scores are bitwise-identical to probing
+// Parameters::Get per factor side (the test suite's uncompiled reference
+// scorer checks this).
 //
 // The per-token structure (string ids, sequence neighbors, skip partners)
 // is read from a packed, cache-line-aligned ie::TokenHotBlock rather than
@@ -45,19 +45,14 @@ namespace fgpdb {
 namespace ie {
 
 struct SkipChainOptions {
-  /// Include skip factors (false = plain linear-chain CRF; the ablation of
-  /// DESIGN.md and the tractable baseline for exact-inference tests).
+  /// Include skip factors (false = plain linear-chain CRF: the tractable
+  /// baseline for exact-inference tests).
   bool use_skip_edges = true;
   /// Include transition factors.
   bool use_transitions = true;
   /// Skip groups larger than this fall back to consecutive-occurrence
   /// chaining to bound the quadratic pair count.
   size_t max_skip_group = 24;
-  /// Score from the compiled dense tables (the default). false = probe
-  /// Parameters::Get per factor side — the reference implementation the
-  /// compiled layer is tested bitwise against, and the ablation measuring
-  /// what compilation buys.
-  bool use_compiled_scoring = true;
 };
 
 class SkipChainNerModel final : public factor::FeatureModel {
@@ -85,8 +80,7 @@ class SkipChainNerModel final : public factor::FeatureModel {
   /// transposed transition table), and a skip-partner scatter — each a
   /// length-kNumLabels loop the compiler can vectorize. Every lane adds
   /// the same terms in the same order as CompiledSingleDelta, so rows are
-  /// bitwise-equal to the per-candidate path (kept as the ablation
-  /// reference). Returns false when compiled scoring is off.
+  /// bitwise-equal to the per-candidate path. Always returns true.
   bool ConditionalRow(const factor::World& world, factor::VarId var,
                       double* out,
                       factor::ScoreScratch* scratch) const override;
@@ -149,15 +143,6 @@ class SkipChainNerModel final : public factor::FeatureModel {
                                       double emission_scale = 2.0);
 
  private:
-  // Per-factor log scores under a label accessor (the uncompiled reference
-  // path; the compiled path reads the same values from the dense tables).
-  template <typename GetLabel>
-  double NodeScore(factor::VarId v, const GetLabel& get) const;
-  template <typename GetLabel>
-  double EdgeScore(factor::VarId a, factor::VarId b, const GetLabel& get) const;
-  template <typename GetLabel>
-  double SkipScore(factor::VarId a, factor::VarId b, const GetLabel& get) const;
-
   /// Reusable buffers for the factor instances one change touches:
   /// nodes, chain edges, skip edges. Purely an allocation cache.
   struct TouchedScratch final : factor::ScoreScratch {
@@ -191,9 +176,6 @@ class SkipChainNerModel final : public factor::FeatureModel {
   double CompiledLogScoreDelta(const factor::World& world,
                                const factor::Change& change,
                                TouchedScratch* scratch) const;
-  double NaiveLogScoreDelta(const factor::World& world,
-                            const factor::Change& change,
-                            TouchedScratch* scratch) const;
 
   SkipChainOptions options_;
   factor::Parameters params_;

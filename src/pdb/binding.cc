@@ -42,22 +42,6 @@ void TupleBinding::StoreWorld(const factor::World& world, Database* db) const {
 
 void TupleBinding::ApplyToDatabase(
     const std::vector<factor::AppliedAssignment>& applied, Database* db,
-    view::DeltaSet* deltas) const {
-  for (const auto& a : applied) {
-    const FieldRef& ref = fields_->at(a.var);
-    Table* table = db->RequireTable(ref.table);
-    const Tuple old_tuple = table->Get(ref.row);  // Copy before mutation.
-    table->UpdateField(ref.row, ref.column, ref.domain->value(a.new_value));
-    if (deltas != nullptr) {
-      view::DeltaMultiset& delta = deltas->ForTable(ref.table);
-      delta.Add(old_tuple, -1);           // Δ−
-      delta.Add(table->Get(ref.row), 1);  // Δ+
-    }
-  }
-}
-
-void TupleBinding::ApplyToDatabase(
-    const std::vector<factor::AppliedAssignment>& applied, Database* db,
     view::DeltaAccumulator* accumulator) const {
   for (const auto& a : applied) {
     const FieldRef& ref = fields_->at(a.var);

@@ -52,19 +52,15 @@ class TupleBinding {
   factor::World LoadWorld(const Database& db) const;
 
   /// Writes the world's values into the database (full synchronization; no
-  /// delta tracking). Used to initialize clones and reset worlds.
+  /// delta tracking). A chain calls it once after its detached burn-in.
   void StoreWorld(const factor::World& world, Database* db) const;
 
-  /// Mirrors accepted MCMC assignments into the database and accumulates
-  /// the old/new tuples into `deltas` (Δ− as −1 entries, Δ+ as +1).
-  /// Intermediate states of a row updated twice cancel automatically.
-  void ApplyToDatabase(const std::vector<factor::AppliedAssignment>& applied,
-                       Database* db, view::DeltaSet* deltas) const;
-
-  /// Hot-path variant: mirrors assignments and records only each touched
-  /// row's pre-image in `accumulator` (first touch copies the tuple; repeat
-  /// flips are one hash probe). The −/+ multisets are produced later by
-  /// DeltaAccumulator::Flush, so oscillation coalesces at insert time.
+  /// Mirrors accepted MCMC assignments into the database and records each
+  /// touched row's pre-image in `accumulator` (first touch copies the
+  /// tuple; repeat flips are one hash probe). The −/+ multisets are
+  /// produced later by DeltaAccumulator::Flush, so a row's intermediate
+  /// states coalesce at insert time and a reverted row contributes
+  /// nothing.
   void ApplyToDatabase(const std::vector<factor::AppliedAssignment>& applied,
                        Database* db,
                        view::DeltaAccumulator* accumulator) const;

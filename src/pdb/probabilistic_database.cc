@@ -3,17 +3,6 @@
 namespace fgpdb {
 namespace pdb {
 
-std::unique_ptr<infer::MetropolisHastings> ProbabilisticDatabase::MakeSampler(
-    infer::Proposal* proposal, uint64_t seed) {
-  auto sampler = std::make_unique<infer::MetropolisHastings>(model(), &world_,
-                                                             proposal, seed);
-  sampler->AddListener(
-      [this](const std::vector<factor::AppliedAssignment>& applied) {
-        MirrorApplied(applied);
-      });
-  return sampler;
-}
-
 std::unique_ptr<ProbabilisticDatabase> ProbabilisticDatabase::Snapshot() const {
   auto copy = std::make_unique<ProbabilisticDatabase>();
   copy->db_ = db_->Snapshot();

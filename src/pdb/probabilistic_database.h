@@ -8,18 +8,19 @@
 //
 // MirrorApplied() carries accepted jumps into the tables and the delta
 // buffer — inference runs in memory, the DBMS stays a blackbox, exactly the
-// architecture of §5. Evaluation chains (SharedChainEvaluator) call it once
-// per interval; MakeSampler() wires a bare Metropolis–Hastings chain that
-// calls it on every flush.
+// architecture of §5. Every chain is a SharedChainEvaluator, which calls it
+// once per interval with its shards' accepted-jump streams in fixed shard
+// order; Snapshot() gives each replica chain its own copy-on-write world.
 #ifndef FGPDB_PDB_PROBABILISTIC_DATABASE_H_
 #define FGPDB_PDB_PROBABILISTIC_DATABASE_H_
 
 #include <memory>
+#include <vector>
 
 #include "factor/model.h"
-#include "infer/metropolis_hastings.h"
 #include "pdb/binding.h"
 #include "storage/database.h"
+#include "util/logging.h"
 #include "view/delta.h"
 
 namespace fgpdb {
@@ -55,19 +56,14 @@ class ProbabilisticDatabase {
     if (shadowed) world_.EnableLabelShadow();
   }
 
-  /// Creates an MH sampler over this database's world: accepted changes are
-  /// mirrored into the tables and coalesced into the row-granular delta
-  /// accumulator (one pre-image per touched row, however often it flips).
-  std::unique_ptr<infer::MetropolisHastings> MakeSampler(
-      infer::Proposal* proposal, uint64_t seed);
-
-  /// Mirrors an already-applied assignment stream into the tables and the
-  /// delta accumulator — exactly what MakeSampler's listener does per
-  /// flush. Every evaluation chain uses this as its merge sink: shard-local
-  /// chains advance the world privately, then their buffered streams drain
-  /// through here in fixed shard order. Mirroring depends only on the
-  /// stream's content and order, so deferred (per-interval) mirroring is
-  /// bitwise-identical to the sampler's incremental (per-flush) mirroring.
+  /// Mirrors an already-applied assignment stream into the tables and
+  /// coalesces it into the row-granular delta accumulator (one pre-image
+  /// per touched row, however often it flips). Every evaluation chain uses
+  /// this as its merge sink: shard-local chains advance the world
+  /// privately, then their buffered streams drain through here in fixed
+  /// shard order. Mirroring depends only on the stream's content and order,
+  /// so deferred (per-interval) mirroring is bitwise-identical to mirroring
+  /// after every sampler flush.
   void MirrorApplied(const std::vector<factor::AppliedAssignment>& applied) {
     binding_.ApplyToDatabase(applied, db_.get(), &pending_rows_);
   }
@@ -103,11 +99,6 @@ class ProbabilisticDatabase {
   /// shared — models are read-only during inference. Safe to call
   /// concurrently as long as this database is not being mutated.
   std::unique_ptr<ProbabilisticDatabase> Snapshot() const;
-
-  /// Logical deep copy for an independent chain. Backed by Snapshot():
-  /// isolation semantics are identical, only the cost model changed (lazy
-  /// per-page copies instead of an eager O(|DB|) copy).
-  std::unique_ptr<ProbabilisticDatabase> Clone() const { return Snapshot(); }
 
  private:
   std::unique_ptr<Database> db_;

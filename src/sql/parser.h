@@ -7,7 +7,7 @@
 //
 // COUNT_IF(pred) is a convenience aggregate used to express the paper's
 // Query 3 (per-document equality of two filtered counts) without correlated
-// subqueries; see DESIGN.md.
+// subqueries; see docs/ARCHITECTURE.md §9.
 #ifndef FGPDB_SQL_PARSER_H_
 #define FGPDB_SQL_PARSER_H_
 

@@ -30,12 +30,6 @@
 #include "storage/database.h"
 #include "storage/tuple.h"
 
-// Feature-test macro for the PR-3 routed delta pipeline (subscription-based
-// routing, row-granular accumulation, reusable operator buffers). Lets the
-// benches report routing statistics while staying compilable against the
-// pre-refactor API for before/after measurements.
-#define FGPDB_VIEW_ROUTED_PIPELINE 1
-
 namespace fgpdb {
 namespace view {
 
@@ -174,7 +168,7 @@ class DeltaAccumulator {
 
   bool empty() const;
 
-  /// Distinct rows currently tracked (diagnostics / adaptive thinning).
+  /// Distinct rows currently tracked (diagnostics).
   size_t rows_touched() const;
 
   void Clear();

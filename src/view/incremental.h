@@ -76,8 +76,8 @@ class TupleArena {
   std::unordered_set<Tuple, TupleHasher> pool_;
 };
 
-/// Counters describing how Apply() rounds were routed (diagnostics, benches,
-/// and the adaptive-thinning cost model).
+/// Counters describing how Apply() rounds were routed (diagnostics and
+/// benches).
 struct ApplyStats {
   uint64_t rounds = 0;
   /// Apply() rounds short-circuited because the view was paused (its answer

@@ -6,11 +6,11 @@
 #include <cmath>
 
 #include "factor/factor_graph.h"
-#include "infer/belief_propagation.h"
-#include "infer/exact.h"
-#include "infer/marginal_estimator.h"
 #include "infer/metropolis_hastings.h"
 #include "infer/proposal.h"
+#include "oracles/belief_propagation.h"
+#include "oracles/exact.h"
+#include "oracles/marginal_estimator.h"
 #include "util/rng.h"
 
 namespace fgpdb {

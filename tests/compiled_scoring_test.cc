@@ -1,9 +1,11 @@
 // The compiled scoring layer's contract (factor/compiled_weights.h): dense
-// tables return bit-for-bit the doubles the naive Parameters::Get scoring
-// computes, tables refresh lazily when the parameter version moves, and the
-// scratch-reuse protocol changes no results. Also the step kernel's parity
-// references: ReferenceStep for Step(n), TwoCallGibbs for the fused Gibbs
-// loop, and per-step mirroring for the shared chain on Queries 1–4.
+// tables return bit-for-bit the doubles the uncompiled Parameters::Get
+// reference (oracles/reference_skip_chain_model.h) computes, tables refresh
+// lazily when the parameter version moves, and the scratch-reuse protocol
+// changes no results. Also the step kernel's parity references:
+// ReferenceStep for Step(n), TwoCallGibbs for the fused Gibbs loop, and
+// per-step mirroring (oracles/mirrored_sampler.h) for the shared chain on
+// Queries 1–4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,8 @@
 #include "infer/metropolis_hastings.h"
 #include "learn/objective.h"
 #include "learn/samplerank.h"
+#include "oracles/mirrored_sampler.h"
+#include "oracles/reference_skip_chain_model.h"
 #include "pdb/shared_chain.h"
 #include "sql/binder.h"
 #include "util/rng.h"
@@ -35,7 +39,8 @@ namespace {
 struct CompiledVsNaive {
   TokenPdb tokens;
   std::unique_ptr<SkipChainNerModel> compiled;
-  std::unique_ptr<SkipChainNerModel> naive;
+  // Scores `compiled`'s structure under its live parameters.
+  std::unique_ptr<testing::ReferenceSkipChainModel> naive;
   factor::World world;
 
   explicit CompiledVsNaive(size_t num_tokens, uint64_t seed) {
@@ -43,10 +48,8 @@ struct CompiledVsNaive {
         {.num_tokens = num_tokens, .tokens_per_doc = 60, .seed = seed});
     tokens = BuildTokenPdb(corpus);
     compiled = std::make_unique<SkipChainNerModel>(tokens);
-    naive = std::make_unique<SkipChainNerModel>(
-        tokens, SkipChainOptions{.use_compiled_scoring = false});
     compiled->InitializeFromCorpusStatistics(tokens);
-    naive->InitializeFromCorpusStatistics(tokens);
+    naive = std::make_unique<testing::ReferenceSkipChainModel>(*compiled);
     world = factor::World(tokens.num_tokens());
   }
 
@@ -219,11 +222,10 @@ TEST(CompiledScoringTest, ParameterUpdateInvalidatesTables) {
   (void)fixture.compiled->LogScoreDelta(fixture.world, probe);
   ASSERT_TRUE(fixture.compiled->compiled_fresh());
 
-  // A direct perceptron-style update through the Parameters API.
+  // A direct perceptron-style update through the Parameters API (the
+  // reference reads the same store).
   const uint64_t before = fixture.compiled->parameters().version();
   fixture.compiled->parameters().Update(
-      EmissionFeature(fixture.tokens.string_ids[0], 3), 0.75);
-  fixture.naive->parameters().Update(
       EmissionFeature(fixture.tokens.string_ids[0], 3), 0.75);
   EXPECT_GT(fixture.compiled->parameters().version(), before);
   EXPECT_FALSE(fixture.compiled->compiled_fresh());
@@ -237,8 +239,8 @@ TEST(CompiledScoringTest, ParameterUpdateInvalidatesTables) {
 }
 
 // End-to-end invalidation: run real SampleRank steps on the compiled model
-// (training goes through UpdateSparse), then check parity against a naive
-// model handed the trained weights.
+// (training goes through UpdateSparse), then check parity against the
+// reference, which reads the trained weights.
 TEST(CompiledScoringTest, SampleRankTrainingRefreshesTables) {
   CompiledVsNaive fixture(400, 57);
   learn::LabelAccuracyObjective objective(fixture.tokens.truth);
@@ -252,7 +254,6 @@ TEST(CompiledScoringTest, SampleRankTrainingRefreshesTables) {
   for (int phase = 0; phase < 4; ++phase) {
     const learn::SampleRankStats stats = trainer.Train(&train_world, 500);
     EXPECT_GT(stats.proposals, 0u);
-    fixture.naive->parameters() = fixture.compiled->parameters();
     fixture.ShuffleWorld(rng);
     for (int round = 0; round < 100; ++round) {
       const factor::Change change = fixture.RandomChange(rng);
@@ -301,8 +302,8 @@ TEST(CompiledScoringTest, ConditionalRowMatchesPerCandidateBitwise) {
   Rng rng(909);
   auto scratch = fixture.compiled->MakeScratch();
   double row[kNumLabels];
-  // The uncompiled reference model offers no fast path: callers must fall
-  // back to per-candidate scoring.
+  // The uncompiled reference offers no fast path: callers must fall back to
+  // per-candidate scoring.
   EXPECT_FALSE(fixture.naive->ConditionalRow(fixture.world, 0, row, nullptr));
 
   size_t sites = 0;
@@ -321,7 +322,7 @@ TEST(CompiledScoringTest, ConditionalRowMatchesPerCandidateBitwise) {
         change.Clear();
         change.Set(var, y);
         // Bitwise against both the compiled per-candidate path (the lane's
-        // summation-order contract) and the naive Parameters::Get path.
+        // summation-order contract) and the uncompiled reference.
         ASSERT_EQ(row[y], fixture.compiled->LogScoreDelta(fixture.world,
                                                           change))
             << "site " << v << " label " << y;
@@ -453,9 +454,9 @@ TEST(CompiledScoringTest, RowGibbsMatchesReferenceBitwise) {
   EXPECT_TRUE(two_call.world.LabelShadowConsistent());
 
   // The fallback (non-compiled) row fill must fuse identically too: the
-  // naive model has no ConditionalRow, so the fused kernel's per-candidate
+  // reference has no ConditionalRow, so the fused kernel's per-candidate
   // fill is exercised against the two-call path.
-  const SkipChainNerModel& naive = *fixture.naive;
+  const testing::ReferenceSkipChainModel& naive = *fixture.naive;
   RecordingChain<infer::GibbsProposal> naive_fused(naive, fixture.world,
                                                    kSeed, naive);
   RecordingChain<TwoCallGibbs> naive_two_call(naive, fixture.world, kSeed,
@@ -538,7 +539,7 @@ TEST(CompiledScoringTest, SharedChainBatchedMirrorMatchesPerStepOnQueries) {
                             static_cast<uint32_t>(shuffle.UniformInt(kNumLabels)));
   }
   batched_pdb.binding().StoreWorld(batched_pdb.world(), &batched_pdb.db());
-  auto per_step_pdb = batched_pdb.Clone();
+  auto per_step_pdb = batched_pdb.Snapshot();
   const pdb::EvaluatorOptions options{
       .steps_per_sample = 20000, .burn_in = 0, .seed = 2026};
   const size_t kSamples = 4;
@@ -562,7 +563,8 @@ TEST(CompiledScoringTest, SharedChainBatchedMirrorMatchesPerStepOnQueries) {
   batched.RunQuantum(kSamples);
 
   DocumentBatchProposal per_step_proposal(&fixture.tokens.docs, batch);
-  auto sampler = per_step_pdb->MakeSampler(&per_step_proposal, options.seed);
+  auto sampler = testing::MakeMirroredSampler(
+      per_step_pdb.get(), &per_step_proposal, options.seed);
   // Assignments applied per interval. The two trajectories are asserted
   // equal below, so the largest count is also the shared chain's.
   size_t interval_applied = 0;

@@ -37,8 +37,8 @@ TEST_P(EquivalenceSweep, NaiveEqualsMaterializedOnIdenticalChains) {
   model.InitializeFromCorpusStatistics(tokens);
   tokens.pdb->set_model(&model);
 
-  auto world_a = tokens.pdb->Clone();
-  auto world_b = tokens.pdb->Clone();
+  auto world_a = tokens.pdb->Snapshot();
+  auto world_b = tokens.pdb->Snapshot();
   ra::PlanPtr plan_a = sql::PlanQuery(query, world_a->db());
   ra::PlanPtr plan_b = sql::PlanQuery(query, world_b->db());
 

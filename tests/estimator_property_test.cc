@@ -15,9 +15,9 @@
 
 #include "factor/factor_graph.h"
 #include "infer/convergence.h"
-#include "infer/exact.h"
 #include "infer/metropolis_hastings.h"
 #include "infer/proposal.h"
+#include "oracles/exact.h"
 #include "pdb/convergence_stats.h"
 #include "pdb/query_evaluator.h"
 #include "storage/tuple.h"

@@ -12,8 +12,8 @@
 #include "ie/corpus.h"
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
-#include "infer/diagnostics.h"
 #include "infer/metropolis_hastings.h"
+#include "oracles/diagnostics.h"
 #include "pdb/aggregate_distribution.h"
 #include "pdb/query_evaluator.h"
 #include "storage/csv_io.h"
@@ -174,15 +174,15 @@ TEST(BioProposalTest, ChainStaysInValidBioSpace) {
   BioFixture f;
   ie::BioConstrainedProposal proposal(&f.tokens.docs,
                                       /*proposals_per_batch=*/500);
-  auto sampler = f.tokens.pdb->MakeSampler(&proposal, /*seed=*/13);
+  infer::MetropolisHastings sampler(*f.model, &f.tokens.pdb->world(),
+                                    &proposal, /*seed=*/13);
   for (int round = 0; round < 20; ++round) {
-    sampler->Run(2000);
+    sampler.Run(2000);
     ASSERT_TRUE(IsValidBio(f.tokens, f.tokens.pdb->world()))
         << "invalid BIO after round " << round;
   }
-  f.tokens.pdb->DiscardDeltas();
   // The chain must actually move.
-  EXPECT_GT(sampler->num_accepted(), 1000u);
+  EXPECT_GT(sampler.num_accepted(), 1000u);
 }
 
 TEST(BioProposalTest, FreezingNeighborsPinsInsideLabels) {

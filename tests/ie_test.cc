@@ -9,8 +9,8 @@
 #include "ie/ner_proposal.h"
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
-#include "infer/exact.h"
 #include "infer/metropolis_hastings.h"
+#include "oracles/exact.h"
 
 namespace fgpdb {
 namespace ie {

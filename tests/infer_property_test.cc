@@ -6,12 +6,12 @@
 #include <cmath>
 
 #include "factor/factor_graph.h"
-#include "infer/exact.h"
-#include "infer/forward_backward.h"
-#include "infer/marginal_estimator.h"
 #include "infer/metropolis_hastings.h"
 #include "infer/proposal.h"
 #include "infer/subset_proposal.h"
+#include "oracles/exact.h"
+#include "oracles/forward_backward.h"
+#include "oracles/marginal_estimator.h"
 #include "util/rng.h"
 
 namespace fgpdb {

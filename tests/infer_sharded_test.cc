@@ -29,6 +29,7 @@
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
 #include "infer/shard_runner.h"
+#include "oracles/mirrored_sampler.h"
 #include "pdb/probabilistic_database.h"
 #include "pdb/shard_plan.h"
 #include "ra/executor.h"
@@ -141,7 +142,7 @@ TEST(ShardedInferenceTest, SkipChainCertifiesDocumentPartition) {
 }
 
 // The serial chain written out by hand on a bare sampler, as the paper
-// describes it: MakeSampler's listener mirrors every flush into the tables
+// describes it: the sampler's listener mirrors every flush into the tables
 // and the delta accumulator, the burn-in is mirrored and its deltas
 // discarded, and each sample steps k and then folds Queries 1–4. Alg. 1
 // applies the drained deltas to views built after the burn-in; Alg. 3
@@ -158,7 +159,8 @@ SerialReference RunSerialReference(NerFixture& fixture,
   std::unique_ptr<pdb::ProbabilisticDatabase> world =
       fixture.tokens.pdb->Snapshot();
   std::unique_ptr<infer::Proposal> proposal = fixture.MakeFactory()(*world);
-  auto sampler = world->MakeSampler(proposal.get(), options.seed);
+  auto sampler =
+      testing::MakeMirroredSampler(world.get(), proposal.get(), options.seed);
   sampler->Run(options.burn_in);
   world->DiscardDeltas();
   std::vector<ra::PlanPtr> plans;

@@ -12,10 +12,11 @@
 #include "ie/queries.h"
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
-#include "infer/forward_backward.h"
-#include "infer/marginal_estimator.h"
 #include "infer/metropolis_hastings.h"
 #include "learn/samplerank.h"
+#include "oracles/forward_backward.h"
+#include "oracles/marginal_estimator.h"
+#include "oracles/mirrored_sampler.h"
 #include "pdb/shared_chain.h"
 #include "sql/binder.h"
 
@@ -136,11 +137,12 @@ TEST(IntegrationTest, McmcMatchesForwardBackwardOnLinearChain) {
   // MCMC marginals.
   ie::DocumentBatchProposal proposal(&tokens.docs,
                                      {.proposals_per_batch = 100000});
-  auto sampler = tokens.pdb->MakeSampler(&proposal, /*seed=*/71);
+  infer::MetropolisHastings sampler(model, &tokens.pdb->world(), &proposal,
+                                    /*seed=*/71);
   infer::MarginalEstimator estimator(tokens.pdb->binding().DomainSizes());
-  sampler->Run(50000);
+  sampler.Run(50000);
   for (int i = 0; i < 1200000; ++i) {
-    sampler->Step();
+    sampler.Step();
     if (i % 5 == 0) estimator.Observe(tokens.pdb->world());
   }
   double max_abs_err = 0.0;
@@ -165,7 +167,8 @@ TEST(IntegrationTest, DatabaseStaysConsistentWithWorldDuringSampling) {
   model.InitializeFromCorpusStatistics(tokens);
   tokens.pdb->set_model(&model);
   ie::DocumentBatchProposal proposal(&tokens.docs);
-  auto sampler = tokens.pdb->MakeSampler(&proposal, /*seed=*/91);
+  auto sampler =
+      testing::MakeMirroredSampler(tokens.pdb.get(), &proposal, /*seed=*/91);
   sampler->Run(20000);
   const Table* table = tokens.pdb->db().RequireTable(ie::kTokenTable);
   const auto domain = ie::LabelDomain();

@@ -1,4 +1,4 @@
-#include "infer/belief_propagation.h"
+#include "oracles/belief_propagation.h"
 
 #include <algorithm>
 #include <cmath>

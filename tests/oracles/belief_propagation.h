@@ -7,8 +7,8 @@
 // which is precisely why the paper reaches for MCMC. Tests compare BP
 // against exact inference on trees (must match) and on frustrated loops
 // (shows the failure mode).
-#ifndef FGPDB_INFER_BELIEF_PROPAGATION_H_
-#define FGPDB_INFER_BELIEF_PROPAGATION_H_
+#ifndef FGPDB_TESTS_ORACLES_BELIEF_PROPAGATION_H_
+#define FGPDB_TESTS_ORACLES_BELIEF_PROPAGATION_H_
 
 #include <vector>
 
@@ -39,4 +39,4 @@ LoopyBpResult LoopyBeliefPropagation(const factor::FactorGraph& graph,
 }  // namespace infer
 }  // namespace fgpdb
 
-#endif  // FGPDB_INFER_BELIEF_PROPAGATION_H_
+#endif  // FGPDB_TESTS_ORACLES_BELIEF_PROPAGATION_H_

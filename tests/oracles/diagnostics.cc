@@ -1,4 +1,4 @@
-#include "infer/diagnostics.h"
+#include "oracles/diagnostics.h"
 
 #include <cmath>
 

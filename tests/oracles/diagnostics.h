@@ -8,8 +8,8 @@
 //     scalar chain statistic (initial-positive-sequence truncation).
 //   * GelmanRubin: the potential-scale-reduction factor R̂ across parallel
 //     chains (§5.4's multi-chain setting); values near 1 indicate mixing.
-#ifndef FGPDB_INFER_DIAGNOSTICS_H_
-#define FGPDB_INFER_DIAGNOSTICS_H_
+#ifndef FGPDB_TESTS_ORACLES_DIAGNOSTICS_H_
+#define FGPDB_TESTS_ORACLES_DIAGNOSTICS_H_
 
 #include <cstddef>
 #include <vector>
@@ -33,4 +33,4 @@ double GelmanRubin(const std::vector<std::vector<double>>& chains);
 }  // namespace infer
 }  // namespace fgpdb
 
-#endif  // FGPDB_INFER_DIAGNOSTICS_H_
+#endif  // FGPDB_TESTS_ORACLES_DIAGNOSTICS_H_

@@ -1,4 +1,4 @@
-#include "infer/exact.h"
+#include "oracles/exact.h"
 
 #include <cmath>
 

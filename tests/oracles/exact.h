@@ -3,8 +3,8 @@
 // Query evaluation in general PDBs is #P-hard (paper §1); enumeration is
 // feasible only for tiny graphs, which is exactly what the test suite uses
 // to validate that MCMC marginals converge to the true distribution.
-#ifndef FGPDB_INFER_EXACT_H_
-#define FGPDB_INFER_EXACT_H_
+#ifndef FGPDB_TESTS_ORACLES_EXACT_H_
+#define FGPDB_TESTS_ORACLES_EXACT_H_
 
 #include <vector>
 
@@ -36,4 +36,4 @@ double ExactWorldProbability(const factor::FactorGraph& graph,
 }  // namespace infer
 }  // namespace fgpdb
 
-#endif  // FGPDB_INFER_EXACT_H_
+#endif  // FGPDB_TESTS_ORACLES_EXACT_H_

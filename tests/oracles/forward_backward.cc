@@ -1,4 +1,4 @@
-#include "infer/forward_backward.h"
+#include "oracles/forward_backward.h"
 
 #include <algorithm>
 #include <cmath>

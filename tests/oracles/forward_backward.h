@@ -5,8 +5,8 @@
 // sum-product inference. Tests use this to validate MCMC on chains; the
 // contrast "exact works on chains / only MCMC works on skip chains"
 // reproduces the paper's motivation for sampling (§5).
-#ifndef FGPDB_INFER_FORWARD_BACKWARD_H_
-#define FGPDB_INFER_FORWARD_BACKWARD_H_
+#ifndef FGPDB_TESTS_ORACLES_FORWARD_BACKWARD_H_
+#define FGPDB_TESTS_ORACLES_FORWARD_BACKWARD_H_
 
 #include <cstddef>
 #include <vector>
@@ -38,4 +38,4 @@ std::vector<size_t> ViterbiDecode(const ChainPotentials& potentials);
 }  // namespace infer
 }  // namespace fgpdb
 
-#endif  // FGPDB_INFER_FORWARD_BACKWARD_H_
+#endif  // FGPDB_TESTS_ORACLES_FORWARD_BACKWARD_H_

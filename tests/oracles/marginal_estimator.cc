@@ -1,4 +1,4 @@
-#include "infer/marginal_estimator.h"
+#include "oracles/marginal_estimator.h"
 
 #include "util/logging.h"
 

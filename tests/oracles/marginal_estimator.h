@@ -1,7 +1,7 @@
 // Sample-based marginal estimation (paper Eq. 5): averages indicator counts
 // across thinned MCMC samples.
-#ifndef FGPDB_INFER_MARGINAL_ESTIMATOR_H_
-#define FGPDB_INFER_MARGINAL_ESTIMATOR_H_
+#ifndef FGPDB_TESTS_ORACLES_MARGINAL_ESTIMATOR_H_
+#define FGPDB_TESTS_ORACLES_MARGINAL_ESTIMATOR_H_
 
 #include <cstdint>
 #include <vector>
@@ -43,4 +43,4 @@ class MarginalEstimator {
 }  // namespace infer
 }  // namespace fgpdb
 
-#endif  // FGPDB_INFER_MARGINAL_ESTIMATOR_H_
+#endif  // FGPDB_TESTS_ORACLES_MARGINAL_ESTIMATOR_H_

@@ -1,5 +1,5 @@
 // TupleBinding and ProbabilisticDatabase plumbing tests: world <-> table
-// synchronization, Δ−/Δ+ accumulation and coalescing, cloning.
+// synchronization, Δ−/Δ+ accumulation and coalescing, snapshots.
 #include <gtest/gtest.h>
 
 #include "ie/labels.h"
@@ -52,11 +52,9 @@ TEST(TupleBindingTest, StoreWorldWritesFields) {
 
 TEST(TupleBindingTest, ApplyToDatabaseRecordsDeltas) {
   BindingFixture f;
-  view::DeltaSet deltas;
-  std::vector<factor::AppliedAssignment> applied = {
-      {1, ie::kLabelO, ie::LabelIndex("B-PER")}};
-  f.pdb.binding().ApplyToDatabase(applied, &f.pdb.db(), &deltas);
+  f.pdb.MirrorApplied({{1, ie::kLabelO, ie::LabelIndex("B-PER")}});
   EXPECT_EQ(f.table->Get(1).at(1), Value::String("B-PER"));
+  const view::DeltaSet deltas = f.pdb.TakeDeltas();
   const auto& delta = deltas.Get("T");
   EXPECT_EQ(delta.Count(Tuple{Value::Int(1), Value::String("O")}), -1);
   EXPECT_EQ(delta.Count(Tuple{Value::Int(1), Value::String("B-PER")}), 1);
@@ -66,24 +64,20 @@ TEST(TupleBindingTest, RoundTripUpdatesCancelInDelta) {
   // A row changed A -> B -> A between query evaluations must contribute
   // nothing to Δ (the paper's coalescing of the auxiliary tables).
   BindingFixture f;
-  view::DeltaSet deltas;
   const uint32_t b_per = ie::LabelIndex("B-PER");
-  f.pdb.binding().ApplyToDatabase({{1, ie::kLabelO, b_per}}, &f.pdb.db(),
-                                  &deltas);
-  f.pdb.binding().ApplyToDatabase({{1, b_per, ie::kLabelO}}, &f.pdb.db(),
-                                  &deltas);
-  EXPECT_TRUE(deltas.Get("T").empty());
+  f.pdb.MirrorApplied({{1, ie::kLabelO, b_per}});
+  f.pdb.MirrorApplied({{1, b_per, ie::kLabelO}});
+  EXPECT_TRUE(f.pdb.TakeDeltas().Get("T").empty());
 }
 
 TEST(TupleBindingTest, IntermediateStatesCancelAcrossMultipleHops) {
   // A -> B -> C leaves exactly {-A, +C}.
   BindingFixture f;
-  view::DeltaSet deltas;
   const uint32_t b_per = ie::LabelIndex("B-PER");
   const uint32_t b_org = ie::LabelIndex("B-ORG");
-  f.pdb.binding().ApplyToDatabase({{0, ie::kLabelO, b_per}}, &f.pdb.db(),
-                                  &deltas);
-  f.pdb.binding().ApplyToDatabase({{0, b_per, b_org}}, &f.pdb.db(), &deltas);
+  f.pdb.MirrorApplied({{0, ie::kLabelO, b_per}});
+  f.pdb.MirrorApplied({{0, b_per, b_org}});
+  const view::DeltaSet deltas = f.pdb.TakeDeltas();
   const auto& delta = deltas.Get("T");
   EXPECT_EQ(delta.distinct_size(), 2u);
   EXPECT_EQ(delta.Count(Tuple{Value::Int(0), Value::String("O")}), -1);
@@ -99,24 +93,26 @@ TEST(TupleBindingTest, DomainSizes) {
 
 TEST(ProbabilisticDatabaseTest, TakeDeltasDrainsBuffer) {
   BindingFixture f;
-  f.pdb.binding().ApplyToDatabase({{0, 0, 1}}, &f.pdb.db(),
-                                  static_cast<view::DeltaSet*>(nullptr));
-  // Direct ApplyToDatabase with nullptr doesn't buffer; use the internal path:
-  view::DeltaSet manual;
-  f.pdb.binding().ApplyToDatabase({{1, 0, 1}}, &f.pdb.db(), &manual);
-  EXPECT_FALSE(manual.empty());
-  // The pdb's own buffer is empty (no sampler ran).
-  EXPECT_TRUE(f.pdb.TakeDeltas().empty());
+  f.pdb.MirrorApplied({{0, ie::kLabelO, ie::LabelIndex("B-PER")}});
+  view::DeltaSet deltas;
+  f.pdb.TakeDeltas(&deltas);
+  const auto& delta = deltas.Get("T");
+  EXPECT_EQ(delta.distinct_size(), 2u);
+  EXPECT_EQ(delta.Count(Tuple{Value::Int(0), Value::String("O")}), -1);
+  EXPECT_EQ(delta.Count(Tuple{Value::Int(0), Value::String("B-PER")}), 1);
+  // Nothing was mirrored since the first drain, so the second is empty.
+  f.pdb.TakeDeltas(&deltas);
+  EXPECT_TRUE(deltas.empty());
 }
 
-TEST(ProbabilisticDatabaseTest, CloneIsIndependent) {
+TEST(ProbabilisticDatabaseTest, SnapshotKeepsWorldAndBindingIndependent) {
   BindingFixture f;
-  auto clone = f.pdb.Clone();
+  auto snap = f.pdb.Snapshot();
   f.table->UpdateField(0, 1, Value::String("B-LOC"));
   f.pdb.world().Set(0, ie::LabelIndex("B-LOC"));
-  EXPECT_EQ(clone->db().RequireTable("T")->Get(0).at(1), Value::String("O"));
-  EXPECT_EQ(clone->world().Get(0), ie::kLabelO);
-  EXPECT_EQ(clone->binding().num_variables(), 4u);
+  EXPECT_EQ(snap->db().RequireTable("T")->Get(0).at(1), Value::String("O"));
+  EXPECT_EQ(snap->world().Get(0), ie::kLabelO);
+  EXPECT_EQ(snap->binding().num_variables(), 4u);
 }
 
 TEST(ProbabilisticDatabaseTest, SnapshotIsIndependentAndCheap) {

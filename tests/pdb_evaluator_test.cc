@@ -316,8 +316,8 @@ TEST(EvaluatorTest, AnswersConvergeWithMoreSamples) {
 
 TEST(EvaluatorTest, CurrentAnswerSetMatchesBetweenEvaluators) {
   NerFixture fixture(300);
-  auto world_a = fixture.tokens.pdb->Clone();
-  auto world_b = fixture.tokens.pdb->Clone();
+  auto world_a = fixture.tokens.pdb->Snapshot();
+  auto world_b = fixture.tokens.pdb->Snapshot();
   ra::PlanPtr plan_a = sql::PlanQuery(ie::kQuery1, world_a->db());
   ra::PlanPtr plan_b = sql::PlanQuery(ie::kQuery1, world_b->db());
   pdb::SharedChainEvaluator naive(world_a.get(), fixture.DefaultBatchPlan(),
@@ -361,8 +361,8 @@ TEST(EvaluatorTest, QuantaReplayOneRunBitwise) {
   // bitwise-identical marginals. The serve scheduler relies on this
   // to slice a tenant's budget without perturbing its trajectory.
   NerFixture fixture(400);
-  auto world_a = fixture.tokens.pdb->Clone();
-  auto world_b = fixture.tokens.pdb->Clone();
+  auto world_a = fixture.tokens.pdb->Snapshot();
+  auto world_b = fixture.tokens.pdb->Snapshot();
   const pdb::EvaluatorOptions options{
       .steps_per_sample = 150, .burn_in = 400, .seed = 9};
   pdb::SharedChainEvaluator whole(world_a.get(), fixture.DefaultBatchPlan(),
@@ -397,8 +397,8 @@ TEST(EvaluatorTest, MidRunRegistrationFoldsPendingDeltas) {
   // runs there. Alg. 3 re-runs every query per sample, so its twin driven
   // by the same calls is the reference.
   NerFixture fixture(400);
-  auto world_a = fixture.tokens.pdb->Clone();
-  auto world_b = fixture.tokens.pdb->Clone();
+  auto world_a = fixture.tokens.pdb->Snapshot();
+  auto world_b = fixture.tokens.pdb->Snapshot();
   const pdb::EvaluatorOptions options{
       .steps_per_sample = 200, .burn_in = 400, .seed = 17};
   pdb::SharedChainEvaluator mat(world_a.get(), fixture.DefaultBatchPlan(),

@@ -78,7 +78,7 @@ TEST(SessionSharedChainTest, QueryBundleMatchesStandaloneRunsBitwise) {
   // Four standalone single-query chains with the same seed.
   for (size_t q = 0; q < PaperQueries().size(); ++q) {
     const char* query = PaperQueries()[q];
-    auto world = fixture.tokens.pdb->Clone();
+    auto world = fixture.tokens.pdb->Snapshot();
     ra::PlanPtr plan = sql::PlanQuery(query, world->db());
     pdb::SharedChainEvaluator standalone(
         world.get(), pdb::SerialPlan(fixture.MakeFactory()), options);
@@ -138,7 +138,7 @@ TEST(SessionSharedChainTest, MidRunRegistrationMatchesLateStartedChain) {
   session->Run(20);
   EXPECT_EQ(late.Snapshot().samples, 20u);
 
-  auto world = fixture.tokens.pdb->Clone();
+  auto world = fixture.tokens.pdb->Snapshot();
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery3, world->db());
   pdb::SharedChainEvaluator standalone(
       world.get(), pdb::SerialPlan(fixture.MakeFactory()),
