@@ -7,7 +7,13 @@
 // the ΔL⋈ΔR cross term dominates) and a many-tables-few-touched
 // configuration (an 8-way join chain where each round touches one base
 // table — the case delta routing exists for).
+//
+// View initialization (the one full evaluation Alg. 1 pays per query) is
+// timed against a bare filtered scan of the same table, its floor.
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <memory>
 
 #include "bench_common.h"
 #include "infer/metropolis_hastings.h"
@@ -278,6 +284,70 @@ void BM_ViewApplyDeltaManyTables(benchmark::State& state) {
       static_cast<double>(stats.rounds);
 }
 
+// --- Initialization: one streamed pass per view ----------------------------
+//
+// Both benchmarks below run on a burned-in world: the initial world labels
+// every token 'O', so Query 1 would select nothing. One corpus per size is
+// built and burned in on first use and shared by every instance of that
+// size.
+NerBench& BurnedInBench(size_t num_tokens) {
+  static std::map<size_t, std::unique_ptr<NerBench>> cache;
+  std::unique_ptr<NerBench>& bench = cache[num_tokens];
+  if (bench == nullptr) {
+    bench = std::make_unique<NerBench>(num_tokens, DeriveSeed(g_master, 7));
+    bench->BurnIn(DefaultBurnIn(num_tokens), DeriveSeed(g_master, 8));
+  }
+  return *bench;
+}
+
+// MaterializedView::Initialize of Query `range(0)` (1-4) at `range(1)`
+// tokens, on a freshly compiled view, as a Session registers it.
+void BM_ViewInitialize(benchmark::State& state) {
+  static const char* const kQueries[] = {ie::kQuery1, ie::kQuery2,
+                                         ie::kQuery3, ie::kQuery4};
+  const char* query = kQueries[state.range(0) - 1];
+  NerBench& bench = BurnedInBench(static_cast<size_t>(state.range(1)));
+  const Database& db = bench.tokens.pdb->db();
+  ra::PlanPtr plan = sql::PlanQuery(query, db);
+  size_t answer_tuples = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto view = std::make_unique<view::MaterializedView>(*plan);
+    state.ResumeTiming();
+    view->Initialize(db);
+    answer_tuples = view->contents().distinct_size();
+    benchmark::DoNotOptimize(answer_tuples);
+    state.PauseTiming();
+    view.reset();
+    state.ResumeTiming();
+  }
+  state.counters["answer_tuples"] = static_cast<double>(answer_tuples);
+}
+
+// A bare Table::Scan testing LABEL = 'B-PER': the work Queries 1 and 2
+// cannot avoid, with nothing copied or hashed.
+void BM_FilteredScan(benchmark::State& state) {
+  NerBench& bench = BurnedInBench(static_cast<size_t>(state.range(0)));
+  const Table* table = bench.tokens.pdb->db().RequireTable(ie::kTokenTable);
+  const size_t label = table->schema().RequireIndexOf("LABEL");
+  const Value b_per = Value::String("B-PER");
+  size_t matches = 0;
+  for (auto _ : state) {
+    matches = 0;
+    table->Scan([&](RowId, const Tuple& t) {
+      if (t.at(label) == b_per) ++matches;
+    });
+    benchmark::DoNotOptimize(matches);
+  }
+  state.counters["matches"] = static_cast<double>(matches);
+}
+
+void ViewInitializeArgs(benchmark::internal::Benchmark* b) {
+  for (const int64_t tokens : {10000, 100000, 500000}) {
+    for (int64_t query = 1; query <= 4; ++query) b->Args({query, tokens});
+  }
+}
+
 void BM_AccumulatorCoalescing(benchmark::State& state) {
   // Row-granular accumulation: a flip records one pre-image copy the first
   // time its row is touched; Flush emits at most one −/+ pair per changed
@@ -318,6 +388,10 @@ BENCHMARK(BM_ViewApplyDeltaManyTables)->Arg(1)->Arg(8)
     ->Iterations(kManyTableRounds)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AccumulatorCoalescing)->Arg(10)->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ViewInitialize)->Apply(ViewInitializeArgs)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FilteredScan)->Arg(10000)->Arg(100000)->Arg(500000)
+    ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   g_master = InitBenchSeed(&argc, argv, "micro_view_maintenance");

@@ -1,6 +1,7 @@
 #include "ra/executor.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -10,44 +11,46 @@ namespace fgpdb {
 namespace ra {
 namespace {
 
-std::vector<Tuple> ExecuteScan(const ScanNode& node, const Database& db) {
-  const Table* table = db.RequireTable(node.table_name());
-  std::vector<Tuple> out;
-  out.reserve(table->size());
-  table->Scan([&](RowId, const Tuple& t) { out.push_back(t); });
-  return out;
+// Execution is push-based: Stream() hands each output row of a plan to a
+// sink, so Scan → Select → Project run as one loop over the table and copy
+// only the rows they keep. A join probes with its left child's stream and
+// materializes only its build side (the right child's qualifying rows);
+// OrderBy and Limit materialize their input. Rows arrive in the order
+// Execute() returns them.
+using RowSink = std::function<void(const Tuple&)>;
+
+void Stream(const PlanNode& plan, const Database& db, const RowSink& sink);
+
+void StreamScan(const ScanNode& node, const Database& db, const RowSink& sink) {
+  db.RequireTable(node.table_name())
+      ->Scan([&](RowId, const Tuple& t) { sink(t); });
 }
 
-std::vector<Tuple> ExecuteSelect(const SelectNode& node, const Database& db) {
-  std::vector<Tuple> in = Execute(node.child(0), db);
-  std::vector<Tuple> out;
-  for (auto& t : in) {
-    if (node.predicate().EvalBool(t)) out.push_back(std::move(t));
-  }
-  return out;
+void StreamSelect(const SelectNode& node, const Database& db,
+                  const RowSink& sink) {
+  Stream(node.child(0), db, [&](const Tuple& t) {
+    if (node.predicate().EvalBool(t)) sink(t);
+  });
 }
 
-std::vector<Tuple> ExecuteProject(const ProjectNode& node, const Database& db) {
-  std::vector<Tuple> in = Execute(node.child(0), db);
-  std::vector<Tuple> out;
-  out.reserve(in.size());
-  for (const auto& t : in) {
-    std::vector<Value> values;
-    values.reserve(node.outputs().size());
-    for (const auto& e : node.outputs()) values.push_back(e->Eval(t));
-    out.emplace_back(std::move(values));
-  }
-  return out;
+void StreamProject(const ProjectNode& node, const Database& db,
+                   const RowSink& sink) {
+  Tuple scratch(std::vector<Value>(node.outputs().size()));
+  Stream(node.child(0), db, [&](const Tuple& t) {
+    for (size_t i = 0; i < node.outputs().size(); ++i) {
+      scratch.at(i) = node.outputs()[i]->Eval(t);
+    }
+    sink(scratch);
+  });
 }
 
-std::vector<Tuple> ExecuteJoin(const JoinNode& node, const Database& db) {
-  std::vector<Tuple> left = Execute(node.child(0), db);
-  std::vector<Tuple> right = Execute(node.child(1), db);
-  std::vector<Tuple> out;
+void StreamJoin(const JoinNode& node, const Database& db, const RowSink& sink) {
+  // Build side: the right child's rows, in stream order.
+  const std::vector<Tuple> right = Execute(node.child(1), db);
   auto emit = [&](const Tuple& l, const Tuple& r) {
-    Tuple joined = Tuple::Concat(l, r);
+    const Tuple joined = Tuple::Concat(l, r);
     if (node.residual() == nullptr || node.residual()->EvalBool(joined)) {
-      out.push_back(std::move(joined));
+      sink(joined);
     }
   };
   if (!node.alternatives().empty()) {
@@ -63,7 +66,7 @@ std::vector<Tuple> ExecuteJoin(const JoinNode& node, const Database& db) {
       }
     }
     std::vector<const Tuple*> matches;
-    for (const auto& l : left) {
+    Stream(node.child(0), db, [&](const Tuple& l) {
       matches.clear();
       for (size_t a = 0; a < node.alternatives().size(); ++a) {
         const auto it =
@@ -76,29 +79,26 @@ std::vector<Tuple> ExecuteJoin(const JoinNode& node, const Database& db) {
         }
       }
       for (const Tuple* r : matches) emit(l, *r);
-    }
-    return out;
+    });
+    return;
   }
   if (node.left_keys().empty()) {
     // Cartesian product with optional residual filter.
-    for (const auto& l : left) {
+    Stream(node.child(0), db, [&](const Tuple& l) {
       for (const auto& r : right) emit(l, r);
-    }
-    return out;
+    });
+    return;
   }
-  // Hash join: build on the smaller side for memory locality; here we build
-  // on the right unconditionally since bags are already materialized.
   std::unordered_map<Tuple, std::vector<const Tuple*>, TupleHasher> build;
   build.reserve(right.size());
   for (const auto& r : right) {
     build[r.Project(node.right_keys())].push_back(&r);
   }
-  for (const auto& l : left) {
+  Stream(node.child(0), db, [&](const Tuple& l) {
     const auto it = build.find(l.Project(node.left_keys()));
-    if (it == build.end()) continue;
+    if (it == build.end()) return;
     for (const Tuple* r : it->second) emit(l, *r);
-  }
-  return out;
+  });
 }
 
 struct AggState {
@@ -177,17 +177,17 @@ void AccumulateAggregate(const AggregateSpec& spec, const Tuple& tuple,
   }
 }
 
-std::vector<Tuple> ExecuteAggregate(const AggregateNode& node,
-                                    const Database& db) {
-  std::vector<Tuple> in = Execute(node.child(0), db);
+void StreamAggregate(const AggregateNode& node, const Database& db,
+                     const RowSink& sink) {
   // Group key -> per-aggregate states. Insertion order retained for
   // deterministic output given deterministic input order.
   std::unordered_map<Tuple, size_t, TupleHasher> group_index;
   std::vector<Tuple> group_keys;
   std::vector<std::vector<AggState>> states;
-  for (const auto& t : in) {
-    Tuple key = t.Project(node.group_by());
-    auto [it, inserted] = group_index.emplace(std::move(key), group_keys.size());
+  Tuple key;
+  Stream(node.child(0), db, [&](const Tuple& t) {
+    t.ProjectInto(node.group_by(), &key);
+    auto [it, inserted] = group_index.try_emplace(key, group_keys.size());
     if (inserted) {
       group_keys.push_back(it->first);
       states.emplace_back(node.aggregates().size());
@@ -196,15 +196,13 @@ std::vector<Tuple> ExecuteAggregate(const AggregateNode& node,
     for (size_t a = 0; a < node.aggregates().size(); ++a) {
       AccumulateAggregate(node.aggregates()[a], t, group_states[a]);
     }
-  }
+  });
   // Global aggregate over an empty input still yields one row (SQL
   // semantics for aggregates without GROUP BY).
   if (group_keys.empty() && node.group_by().empty()) {
     group_keys.emplace_back();
     states.emplace_back(node.aggregates().size());
   }
-  std::vector<Tuple> out;
-  out.reserve(group_keys.size());
   for (size_t g = 0; g < group_keys.size(); ++g) {
     std::vector<Value> values;
     values.reserve(node.group_by().size() + node.aggregates().size());
@@ -212,20 +210,16 @@ std::vector<Tuple> ExecuteAggregate(const AggregateNode& node,
     for (size_t a = 0; a < node.aggregates().size(); ++a) {
       values.push_back(FinalizeAggregate(node.aggregates()[a], states[g][a]));
     }
-    out.emplace_back(std::move(values));
+    sink(Tuple(std::move(values)));
   }
-  return out;
 }
 
-std::vector<Tuple> ExecuteDistinct(const DistinctNode& node,
-                                   const Database& db) {
-  std::vector<Tuple> in = Execute(node.child(0), db);
+void StreamDistinct(const DistinctNode& node, const Database& db,
+                    const RowSink& sink) {
   std::unordered_set<Tuple, TupleHasher> seen;
-  std::vector<Tuple> out;
-  for (auto& t : in) {
-    if (seen.insert(t).second) out.push_back(std::move(t));
-  }
-  return out;
+  Stream(node.child(0), db, [&](const Tuple& t) {
+    if (seen.insert(t).second) sink(t);
+  });
 }
 
 std::vector<Tuple> ExecuteOrderBy(const OrderByNode& node, const Database& db) {
@@ -246,29 +240,43 @@ std::vector<Tuple> ExecuteLimit(const LimitNode& node, const Database& db) {
   return in;
 }
 
+void Stream(const PlanNode& plan, const Database& db, const RowSink& sink) {
+  switch (plan.kind()) {
+    case PlanKind::kScan:
+      return StreamScan(static_cast<const ScanNode&>(plan), db, sink);
+    case PlanKind::kSelect:
+      return StreamSelect(static_cast<const SelectNode&>(plan), db, sink);
+    case PlanKind::kProject:
+      return StreamProject(static_cast<const ProjectNode&>(plan), db, sink);
+    case PlanKind::kJoin:
+      return StreamJoin(static_cast<const JoinNode&>(plan), db, sink);
+    case PlanKind::kAggregate:
+      return StreamAggregate(static_cast<const AggregateNode&>(plan), db,
+                             sink);
+    case PlanKind::kDistinct:
+      return StreamDistinct(static_cast<const DistinctNode&>(plan), db, sink);
+    case PlanKind::kOrderBy:
+    case PlanKind::kLimit:
+      for (const Tuple& t : Execute(plan, db)) sink(t);
+      return;
+  }
+  FGPDB_FATAL() << "unknown plan kind";
+}
+
 }  // namespace
 
 std::vector<Tuple> Execute(const PlanNode& plan, const Database& db) {
   switch (plan.kind()) {
-    case PlanKind::kScan:
-      return ExecuteScan(static_cast<const ScanNode&>(plan), db);
-    case PlanKind::kSelect:
-      return ExecuteSelect(static_cast<const SelectNode&>(plan), db);
-    case PlanKind::kProject:
-      return ExecuteProject(static_cast<const ProjectNode&>(plan), db);
-    case PlanKind::kJoin:
-      return ExecuteJoin(static_cast<const JoinNode&>(plan), db);
-    case PlanKind::kAggregate:
-      return ExecuteAggregate(static_cast<const AggregateNode&>(plan), db);
-    case PlanKind::kDistinct:
-      return ExecuteDistinct(static_cast<const DistinctNode&>(plan), db);
     case PlanKind::kOrderBy:
       return ExecuteOrderBy(static_cast<const OrderByNode&>(plan), db);
     case PlanKind::kLimit:
       return ExecuteLimit(static_cast<const LimitNode&>(plan), db);
+    default: {
+      std::vector<Tuple> out;
+      Stream(plan, db, [&](const Tuple& t) { out.push_back(t); });
+      return out;
+    }
   }
-  FGPDB_FATAL() << "unknown plan kind";
-  return {};
 }
 
 }  // namespace ra

@@ -1,8 +1,11 @@
-// Materializing bag executor for relational plans.
+// Bag executor for relational plans.
 //
-// This is the "full query" path — what the naive evaluator (paper Alg. 3)
-// runs over every sampled world, and what the materialized evaluator
-// (Alg. 1) runs exactly once to initialize its views.
+// This is the "full query" path that the naive evaluator (paper Alg. 3)
+// runs over every sampled world; tests also use it as the reference for
+// maintained views. Views initialize through their own operator tree
+// (view/incremental.h), not through this executor. Execution is pipelined:
+// Scan → Select → Project run as one pass over the table, and only the
+// pipeline breakers (a join's build side, OrderBy, Limit) hold rows.
 #ifndef FGPDB_RA_EXECUTOR_H_
 #define FGPDB_RA_EXECUTOR_H_
 

@@ -48,7 +48,9 @@ void DeltaMultiset::Add(const Tuple& tuple, int64_t count) {
     }
     Spill();
   }
-  auto [it, inserted] = counts_.emplace(tuple, count);
+  // try_emplace copies the tuple only for a new key; emplace would build
+  // (and free) a node even when the key is present.
+  auto [it, inserted] = counts_.try_emplace(tuple, count);
   if (!inserted) {
     it->second += count;
     if (it->second == 0) counts_.erase(it);

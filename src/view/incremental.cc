@@ -48,7 +48,8 @@ using ra::AggregateSpec;
 
 // ---------------------------------------------------------------------------
 // Scan: deltas for the base table pass straight through — by pointer, not by
-// copy: the parent reads the DeltaSet's own multiset.
+// copy: the parent reads the DeltaSet's own multiset. Initialization hands
+// each live row to the parent by reference.
 // ---------------------------------------------------------------------------
 class IncScan final : public IncrementalOperator {
  public:
@@ -57,11 +58,8 @@ class IncScan final : public IncrementalOperator {
     reads_mask_ = runtime_->SubscribeScan(table_);
   }
 
-  DeltaMultiset Initialize(const Database& db) override {
-    DeltaMultiset out;
-    db.RequireTable(table_)->Scan(
-        [&](RowId, const Tuple& t) { out.Add(t, 1); });
-    return out;
+  void Initialize(const Database& db, const TupleSink& emit) override {
+    db.RequireTable(table_)->Scan([&](RowId, const Tuple& t) { emit(t, 1); });
   }
 
  protected:
@@ -86,27 +84,23 @@ class IncSelect final : public IncrementalOperator {
     AbsorbChild(*child_);
   }
 
-  DeltaMultiset Initialize(const Database& db) override {
-    DeltaMultiset out;
-    Filter(child_->Initialize(db), &out);
-    return out;
+  void Initialize(const Database& db, const TupleSink& emit) override {
+    child_->Initialize(db, [&](const Tuple& t, int64_t c) {
+      if (predicate_->EvalBool(t)) emit(t, c);
+    });
   }
 
  protected:
   const DeltaMultiset* ApplyDeltaImpl(const DeltaSet& deltas) override {
     const DeltaMultiset* in = child_->ApplyDelta(deltas);
     out_.Clear();
-    Filter(*in, &out_);
+    in->ForEach([&](const Tuple& t, int64_t c) {
+      if (predicate_->EvalBool(t)) out_.Add(t, c);
+    });
     return &out_;
   }
 
  private:
-  void Filter(const DeltaMultiset& in, DeltaMultiset* out) const {
-    in.ForEach([&](const Tuple& t, int64_t c) {
-      if (predicate_->EvalBool(t)) out->Add(t, c);
-    });
-  }
-
   IncrementalOperatorPtr child_;
   ra::ExprPtr predicate_;
   DeltaMultiset out_;
@@ -123,37 +117,38 @@ class IncProject final : public IncrementalOperator {
              std::vector<ra::ExprPtr> outputs)
       : IncrementalOperator(runtime),
         child_(std::move(child)),
-        outputs_(std::move(outputs)) {
+        outputs_(std::move(outputs)),
+        scratch_(std::vector<Value>(outputs_.size())) {
     AbsorbChild(*child_);
   }
 
-  DeltaMultiset Initialize(const Database& db) override {
-    DeltaMultiset out;
-    Map(child_->Initialize(db), &out);
-    return out;
+  void Initialize(const Database& db, const TupleSink& emit) override {
+    child_->Initialize(db,
+                       [&](const Tuple& t, int64_t c) { emit(Map(t), c); });
   }
 
  protected:
   const DeltaMultiset* ApplyDeltaImpl(const DeltaSet& deltas) override {
     const DeltaMultiset* in = child_->ApplyDelta(deltas);
     out_.Clear();
-    Map(*in, &out_);
+    in->ForEach([&](const Tuple& t, int64_t c) { out_.Add(Map(t), c); });
     return &out_;
   }
 
  private:
-  void Map(const DeltaMultiset& in, DeltaMultiset* out) const {
-    in.ForEach([&](const Tuple& t, int64_t c) {
-      std::vector<Value> values;
-      values.reserve(outputs_.size());
-      for (const auto& e : outputs_) values.push_back(e->Eval(t));
-      out->Add(Tuple(std::move(values)), c);
-    });
+  /// Evaluates the outputs over `t` into the reused scratch tuple; the
+  /// result is valid until the next call.
+  const Tuple& Map(const Tuple& t) {
+    for (size_t i = 0; i < outputs_.size(); ++i) {
+      scratch_.at(i) = outputs_[i]->Eval(t);
+    }
+    return scratch_;
   }
 
   IncrementalOperatorPtr child_;
   std::vector<ra::ExprPtr> outputs_;
   DeltaMultiset out_;
+  Tuple scratch_;
 };
 
 // Signed counts keyed by interned tuple pointer. Join-key buckets are
@@ -187,7 +182,7 @@ class PtrBag {
       inline_.clear();
       spilled_ = true;
     }
-    const auto [it, inserted] = counts_.emplace(tuple, count);
+    const auto [it, inserted] = counts_.try_emplace(tuple, count);
     if (!inserted) {
       it->second += count;
       if (it->second == 0) counts_.erase(it);
@@ -218,6 +213,10 @@ class PtrBag {
 // materialized by both sides of a self-join is stored once. Empty key lists
 // degrade to a Cartesian product (single bucket).
 //
+// Initialization is the same rule with L and R starting empty: the right
+// child streams into the right state, then each streamed left tuple probes
+// the complete right state and is folded into the left state.
+//
 // The join condition is a list of key alternatives (plain equi-joins are a
 // single alternative): each side keeps one keyed state per alternative, and
 // a probe tuple matches the union of its per-alternative buckets. A state
@@ -243,16 +242,16 @@ class IncJoin final : public IncrementalOperator {
     AbsorbChild(*right_);
   }
 
-  DeltaMultiset Initialize(const Database& db) override {
+  void Initialize(const Database& db, const TupleSink& emit) override {
     for (auto& state : left_states_) state.clear();
     for (auto& state : right_states_) state.clear();
-    const DeltaMultiset l = left_->Initialize(db);
-    const DeltaMultiset r = right_->Initialize(db);
-    Fold(r, /*fold_left=*/false);
-    DeltaMultiset out;
-    JoinAgainst(l, /*probe_left=*/true, &out);
-    Fold(l, /*fold_left=*/true);
-    return out;
+    right_->Initialize(db, [&](const Tuple& t, int64_t c) {
+      FoldTuple(t, c, /*fold_left=*/false);
+    });
+    left_->Initialize(db, [&](const Tuple& t, int64_t c) {
+      Probe(t, c, /*probe_left=*/true, emit);
+      FoldTuple(t, c, /*fold_left=*/true);
+    });
   }
 
  protected:
@@ -277,76 +276,92 @@ class IncJoin final : public IncrementalOperator {
   // key tuple -> bucket of matching interned tuples.
   using KeyedState = std::unordered_map<Tuple, PtrBag, TupleHasher>;
 
-  void Fold(const DeltaMultiset& delta, bool fold_left) {
+  /// Interns `t` and adds `c` to its bucket in every alternative's state.
+  void FoldTuple(const Tuple& t, int64_t c, bool fold_left) {
     auto& states = fold_left ? left_states_ : right_states_;
-    delta.ForEach([&](const Tuple& t, int64_t c) {
-      const Tuple* interned = runtime_->arena.Intern(t);
-      for (size_t a = 0; a < alternatives_.size(); ++a) {
-        const auto& keys = fold_left ? alternatives_[a].left_keys
-                                     : alternatives_[a].right_keys;
-        t.ProjectInto(keys, &key_scratch_);
-        // Leaves empty buckets in place; they are rare and harmless.
-        states[a][key_scratch_].Add(interned, c);
-      }
-    });
-  }
-
-  void Emit(const Tuple& l, const Tuple& r, int64_t count,
-            DeltaMultiset* out) const {
-    Tuple joined = Tuple::Concat(l, r);
-    if (residual_ == nullptr || residual_->EvalBool(joined)) {
-      out->Add(joined, count);
+    const Tuple* interned = runtime_->arena.Intern(t);
+    for (size_t a = 0; a < alternatives_.size(); ++a) {
+      const auto& keys = fold_left ? alternatives_[a].left_keys
+                                   : alternatives_[a].right_keys;
+      t.ProjectInto(keys, &key_scratch_);
+      // Leaves empty buckets in place; they are rare and harmless.
+      states[a][key_scratch_].Add(interned, c);
     }
   }
 
-  /// Emits probe tuple × state tuple in left-right order.
-  void EmitOriented(const Tuple& pt, const Tuple& st, int64_t count,
-                    bool probe_left, DeltaMultiset* out) const {
-    if (probe_left) {
-      Emit(pt, st, count, out);
+  void Fold(const DeltaMultiset& delta, bool fold_left) {
+    delta.ForEach(
+        [&](const Tuple& t, int64_t c) { FoldTuple(t, c, fold_left); });
+  }
+
+  /// Sends probe tuple × state tuple, in left-right order, to `sink` when
+  /// the residual holds.
+  template <typename Sink>
+  void Emit(const Tuple& pt, const Tuple& st, int64_t count, bool probe_left,
+            const Sink& sink) const {
+    const Tuple joined =
+        probe_left ? Tuple::Concat(pt, st) : Tuple::Concat(st, pt);
+    if (residual_ == nullptr || residual_->EvalBool(joined)) {
+      sink(joined, count);
+    }
+  }
+
+  /// Joins one probe tuple against the opposite side's materialized state.
+  template <typename Sink>
+  void Probe(const Tuple& pt, int64_t pc, bool probe_left, const Sink& sink) {
+    if (alternatives_.size() == 1) {
+      ProbeSingle(pt, pc, probe_left, sink);
     } else {
-      Emit(st, pt, count, out);
+      ProbeAlternatives(pt, pc, probe_left, sink);
+    }
+  }
+
+  /// Single alternative (every plain equi-/cross join): one state lookup
+  /// per probe tuple, no cross-alternative dedup.
+  template <typename Sink>
+  void ProbeSingle(const Tuple& pt, int64_t pc, bool probe_left,
+                   const Sink& sink) {
+    const auto& state = probe_left ? right_states_[0] : left_states_[0];
+    pt.ProjectInto(probe_left ? alternatives_[0].left_keys
+                              : alternatives_[0].right_keys,
+                   &key_scratch_);
+    const auto it = state.find(key_scratch_);
+    if (it == state.end()) return;
+    it->second.ForEach([&](const Tuple* st, int64_t sc) {
+      Emit(pt, *st, pc * sc, probe_left, sink);
+    });
+  }
+
+  template <typename Sink>
+  void ProbeAlternatives(const Tuple& pt, int64_t pc, bool probe_left,
+                         const Sink& sink) {
+    const auto& states = probe_left ? right_states_ : left_states_;
+    matches_.clear();
+    for (size_t a = 0; a < alternatives_.size(); ++a) {
+      pt.ProjectInto(probe_left ? alternatives_[a].left_keys
+                                : alternatives_[a].right_keys,
+                     &key_scratch_);
+      const auto it = states[a].find(key_scratch_);
+      if (it == states[a].end()) continue;
+      it->second.ForEach([&](const Tuple* st, int64_t sc) {
+        for (const auto& [seen, count] : matches_) {
+          (void)count;
+          if (seen == st) return;
+        }
+        matches_.emplace_back(st, sc);
+      });
+    }
+    for (const auto& [st, sc] : matches_) {
+      Emit(pt, *st, pc * sc, probe_left, sink);
     }
   }
 
   /// Joins `probe` against the opposite side's materialized state.
   void JoinAgainst(const DeltaMultiset& probe, bool probe_left,
                    DeltaMultiset* out) {
-    const auto& states = probe_left ? right_states_ : left_states_;
-    if (alternatives_.size() == 1) {
-      // Single alternative (every plain equi-/cross join): one state
-      // lookup per probe tuple, no cross-alternative dedup.
-      const auto& keys = probe_left ? alternatives_[0].left_keys
-                                    : alternatives_[0].right_keys;
-      probe.ForEach([&](const Tuple& pt, int64_t pc) {
-        pt.ProjectInto(keys, &key_scratch_);
-        const auto it = states[0].find(key_scratch_);
-        if (it == states[0].end()) return;
-        it->second.ForEach([&](const Tuple* st, int64_t sc) {
-          EmitOriented(pt, *st, pc * sc, probe_left, out);
-        });
-      });
-      return;
-    }
+    const auto add = [out](const Tuple& t, int64_t c) { out->Add(t, c); };
     probe.ForEach([&](const Tuple& pt, int64_t pc) {
-      matches_.clear();
-      for (size_t a = 0; a < alternatives_.size(); ++a) {
-        pt.ProjectInto(probe_left ? alternatives_[a].left_keys
-                                  : alternatives_[a].right_keys,
-                       &key_scratch_);
-        const auto it = states[a].find(key_scratch_);
-        if (it == states[a].end()) continue;
-        it->second.ForEach([&](const Tuple* st, int64_t sc) {
-          for (const auto& [seen, count] : matches_) {
-            (void)count;
-            if (seen == st) return;
-          }
-          matches_.emplace_back(st, sc);
-        });
-      }
-      for (const auto& [st, sc] : matches_) {
-        EmitOriented(pt, *st, pc * sc, probe_left, out);
-      }
+      Probe(pt, pc, probe_left, add);
     });
   }
 
@@ -380,19 +395,18 @@ class IncAggregate final : public IncrementalOperator {
     AbsorbChild(*child_);
   }
 
-  DeltaMultiset Initialize(const Database& db) override {
+  void Initialize(const Database& db, const TupleSink& emit) override {
     groups_.clear();
-    const DeltaMultiset in = child_->Initialize(db);
-    FGPDB_CHECK(in.IsNonNegative());
-    in.ForEach([&](const Tuple& t, int64_t c) { FoldTuple(t, c); });
-    DeltaMultiset out;
+    child_->Initialize(db, [&](const Tuple& t, int64_t c) {
+      FGPDB_CHECK_GT(c, 0);
+      FoldTuple(t, c);
+    });
     for (const auto& [key, state] : groups_) {
-      out.Add(OutputRow(*key, state), 1);
+      emit(OutputRow(*key, state), 1);
     }
     if (group_by_.empty() && groups_.empty()) {
-      out.Add(OutputRow(Tuple(), GroupState(aggregates_.size())), 1);
+      emit(OutputRow(Tuple(), GroupState(aggregates_.size())), 1);
     }
-    return out;
   }
 
  protected:
@@ -476,7 +490,7 @@ class IncAggregate final : public IncrementalOperator {
         // positive support (exactly reversible under deletion).
         const Value v = spec.argument->Eval(t);
         if (v.is_null()) return;
-        auto [it, inserted] = state.values.emplace(v, c);
+        auto [it, inserted] = state.values.try_emplace(v, c);
         if (!inserted) {
           it->second += c;
           if (it->second == 0) state.values.erase(it);
@@ -496,7 +510,7 @@ class IncAggregate final : public IncrementalOperator {
       case AggregateSpec::Kind::kMax: {
         const Value v = spec.argument->Eval(t);
         if (v.is_null()) return;
-        auto [it, inserted] = state.values.emplace(v, c);
+        auto [it, inserted] = state.values.try_emplace(v, c);
         if (!inserted) {
           it->second += c;
           if (it->second == 0) state.values.erase(it);
@@ -564,17 +578,13 @@ class IncDistinct final : public IncrementalOperator {
     AbsorbChild(*child_);
   }
 
-  DeltaMultiset Initialize(const Database& db) override {
+  void Initialize(const Database& db, const TupleSink& emit) override {
     support_.clear();
-    const DeltaMultiset in = child_->Initialize(db);
-    DeltaMultiset out;
-    in.ForEach([&](const Tuple& t, int64_t c) {
-      const Tuple* key = runtime_->arena.Intern(t);
-      int64_t& count = support_[key];
-      if (count == 0 && c > 0) out.Add(t, 1);
+    child_->Initialize(db, [&](const Tuple& t, int64_t c) {
+      int64_t& count = support_[runtime_->arena.Intern(t)];
+      if (count == 0) emit(t, 1);
       count += c;
     });
-    return out;
   }
 
  protected:
@@ -673,7 +683,9 @@ MaterializedView::MaterializedView(const ra::PlanNode& plan)
     : compiled_(plan) {}
 
 void MaterializedView::Initialize(const Database& db) {
-  contents_ = compiled_.root().Initialize(db);
+  contents_.Clear();
+  compiled_.root().Initialize(
+      db, [this](const Tuple& t, int64_t c) { contents_.Add(t, c); });
   FGPDB_CHECK(contents_.IsNonNegative());
   initialized_ = true;
 }

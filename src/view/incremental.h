@@ -34,6 +34,13 @@
 //     per-view TupleArena instead of holding private deep copies; a tuple
 //     materialized by both sides of a self-join is stored once.
 //
+// Initialization streams. Each operator pushes its rows to its parent one at
+// a time: a scan hands every live row to its parent by reference, σ filters
+// and π maps in the same pass, and ⋈ (both sides), γ (groups) and DISTINCT
+// (support counts) build the state they keep for maintenance from that
+// stream. Only that state and the view's contents hold tuples; no operator
+// materializes its child's whole output.
+//
 // Operators never re-read the Database after Initialize(); all state needed
 // for maintenance is carried internally, so the stored world may drift ahead
 // as long as deltas arrive in order. A view (and its arena) belongs to one
@@ -42,6 +49,7 @@
 #define FGPDB_VIEW_INCREMENTAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -119,14 +127,20 @@ struct ViewRuntime {
   uint64_t MaskOf(const std::string& table) const;
 };
 
+/// Receives one row of an operator's initial output and its count.
+using TupleSink = std::function<void(const Tuple&, int64_t)>;
+
 class IncrementalOperator {
  public:
   explicit IncrementalOperator(ViewRuntime* runtime) : runtime_(runtime) {}
   virtual ~IncrementalOperator() = default;
 
   /// Full evaluation against the current world; (re)sets internal state.
-  /// The result is a bag: every count >= 1.
-  virtual DeltaMultiset Initialize(const Database& db) = 0;
+  /// Pushes this operator's output bag to `emit`, one row at a time, every
+  /// count >= 1 (a row may arrive more than once; the counts add up). The
+  /// row reference is valid only during the call. Only stateful operators
+  /// (⋈, γ, DISTINCT) keep tuples; σ, π and scans forward as they go.
+  virtual void Initialize(const Database& db, const TupleSink& emit) = 0;
 
   /// Consumes base-table deltas and returns this operator's output delta.
   /// The result points at a reusable internal buffer (or the DeltaSet's own
@@ -186,7 +200,9 @@ class MaterializedView {
   /// Compiles `plan`; call Initialize before reading contents.
   explicit MaterializedView(const ra::PlanNode& plan);
 
-  /// Runs the one full evaluation of the initial world.
+  /// Runs the one full evaluation of the initial world: the root's rows
+  /// stream into the (cleared) contents. Calling it again rebuilds the view
+  /// from `db`.
   void Initialize(const Database& db);
 
   /// Folds a round of base-table deltas into the view; returns the output

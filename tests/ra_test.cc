@@ -172,6 +172,63 @@ TEST_F(ExecutorTest, OrderByAndLimit) {
   EXPECT_EQ(rows[1].at(3), Value::Int(90));
 }
 
+// Execute streams Scan → Select → Project; the rows must still come out in
+// scan order, exactly as the materializing executor returned them.
+TEST_F(ExecutorTest, ProjectOfSelectKeepsScanOrder) {
+  std::vector<ExprPtr> outputs;
+  outputs.push_back(Col(2));
+  outputs.push_back(Col(3));
+  auto plan = std::make_unique<ProjectNode>(
+      std::make_unique<SelectNode>(
+          std::make_unique<ScanNode>("EMP", emp_schema()),
+          Cmp(CompareOp::kLt, Col(3), Lit(Value::Int(95)))),
+      std::move(outputs), std::vector<std::string>{"NAME", "SALARY"});
+  EXPECT_EQ(Execute(*plan, db_),
+            (std::vector<Tuple>{
+                Tuple{Value::String("bob"), Value::Int(90)},
+                Tuple{Value::String("cat"), Value::Int(80)},
+                Tuple{Value::String("dan"), Value::Int(80)},
+                Tuple{Value::String("eve"), Value::Int(70)},
+            }));
+}
+
+TEST_F(ExecutorTest, LimitOverSelectKeepsFirstQualifyingRows) {
+  LimitNode limited(
+      std::make_unique<SelectNode>(
+          std::make_unique<ScanNode>("EMP", emp_schema()),
+          Cmp(CompareOp::kNe, Col(1), Lit(Value::String("eng")))),
+      2);
+  EXPECT_EQ(Execute(limited, db_),
+            (std::vector<Tuple>{
+                Tuple{Value::Int(3), Value::String("ops"),
+                      Value::String("cat"), Value::Int(80)},
+                Tuple{Value::Int(4), Value::String("ops"),
+                      Value::String("dan"), Value::Int(80)},
+            }));
+}
+
+TEST_F(ExecutorTest, JoinEmitsLeftMajorInScanOrder) {
+  // The probe side streams while the build side is materialized first; the
+  // output is still left rows in scan order, each with its matches in scan
+  // order.
+  std::vector<ExprPtr> outputs;
+  outputs.push_back(Col(0));
+  outputs.push_back(Col(4));
+  auto plan = std::make_unique<ProjectNode>(
+      std::make_unique<JoinNode>(
+          std::make_unique<ScanNode>("EMP", emp_schema()),
+          std::make_unique<ScanNode>("EMP", emp_schema()),
+          std::vector<size_t>{1}, std::vector<size_t>{1}, nullptr),
+      std::move(outputs), std::vector<std::string>{"L", "R"});
+  std::vector<Tuple> expected;
+  for (const auto& [l, r] : std::vector<std::pair<int64_t, int64_t>>{
+           {1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 3}, {3, 4}, {4, 3}, {4, 4},
+           {5, 5}}) {
+    expected.push_back(Tuple{Value::Int(l), Value::Int(r)});
+  }
+  EXPECT_EQ(Execute(*plan, db_), expected);
+}
+
 TEST_F(ExecutorTest, PlanToStringShowsTree) {
   auto plan = std::make_unique<SelectNode>(
       std::make_unique<ScanNode>("EMP", emp_schema()),
