@@ -8,6 +8,8 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <memory>
+#include <utility>
 
 #include "bench_common.h"
 #include "infer/metropolis_hastings.h"
@@ -72,14 +74,35 @@ void BM_MhStep(benchmark::State& state) {
   bench.tokens.pdb->DiscardDeltas();
 }
 
-void BM_MhStepBatched(benchmark::State& state) {
-  // The batched kernel: Step(kBatch) crosses the mirror boundary once per
-  // flush instead of once per accepted step. items/s is steps/s; compare
-  // its inverse against BM_MhStep's ns/iteration.
+// Forwards to the §5.1 proposal without declaring the uniform-relabel
+// kernel, so Step(n) runs it through the generic loop: the reference the
+// parity tests hold the fused relabel loop to (GenericRelabel in
+// tests/compiled_scoring_test.cc).
+class GenericRelabel final : public infer::Proposal {
+ public:
+  explicit GenericRelabel(std::unique_ptr<infer::Proposal> relabel)
+      : relabel_(std::move(relabel)) {}
+
+  using Proposal::Propose;
+  void Propose(const factor::World& world, Rng& rng, factor::Change* change,
+               double* log_ratio) override {
+    relabel_->Propose(world, rng, change, log_ratio);
+  }
+
+ private:
+  std::unique_ptr<infer::Proposal> relabel_;
+};
+
+// Step(kBatch) per iteration; `generic` runs the same chain through the
+// generic loop instead of the fused relabel loop.
+void StepBatched(benchmark::State& state, bool generic) {
   const size_t n = static_cast<size_t>(state.range(0));
   constexpr size_t kBatch = 256;
   NerBench bench(n, DeriveSeed(g_master, kStreamBatchedCorpus));
-  auto proposal = bench.MakeProposal();
+  std::unique_ptr<infer::Proposal> proposal = bench.MakeProposal();
+  if (generic) {
+    proposal = std::make_unique<GenericRelabel>(std::move(proposal));
+  }
   infer::MetropolisHastings sampler(
       *bench.model, &bench.tokens.pdb->world(), proposal.get(),
       DeriveSeed(g_master, kStreamBatchedSampler));
@@ -90,8 +113,24 @@ void BM_MhStepBatched(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBatch);
   state.SetLabel(std::to_string(n) + " tuples, Step(" +
-                 std::to_string(kBatch) + ")");
+                 std::to_string(kBatch) + ")" +
+                 (generic ? ", generic loop" : ""));
   bench.tokens.pdb->DiscardDeltas();
+}
+
+void BM_MhStepBatched(benchmark::State& state) {
+  // The batched kernel: Step(kBatch) crosses the mirror boundary once per
+  // flush instead of once per accepted step. items/s is steps/s; compare
+  // its inverse against BM_MhStep's ns/iteration.
+  StepBatched(state, /*generic=*/false);
+}
+
+void BM_MhStepGeneric(benchmark::State& state) {
+  // BM_MhStepBatched's chain (same corpus and seeds, bitwise the same
+  // walk) through the generic loop: virtual Propose, a Change per step,
+  // every proposal scored, an exp per rejection. The ratio of the two
+  // arms' ns/step is what the fused relabel loop saves.
+  StepBatched(state, /*generic=*/true);
 }
 
 void BM_MhStepLinearChain(benchmark::State& state) {
@@ -243,6 +282,8 @@ void BM_GibbsStep(benchmark::State& state) {
 BENCHMARK(BM_MhStep)->Arg(10000)->Arg(50000)->Arg(200000)
     ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_MhStepBatched)->Arg(10000)->Arg(50000)->Arg(200000)
+    ->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_MhStepGeneric)->Arg(10000)->Arg(200000)
     ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_LogScoreDelta)->Arg(10000)->Arg(200000)
     ->Unit(benchmark::kNanosecond);

@@ -3,7 +3,7 @@
 // full degree of a polynomial" of savings (§4.2) — measured per operator
 // shape (σπ, γ, ⋈), plus the cost of row-granular delta coalescing.
 //
-// PR-3 additions: a join-heavy configuration (large per-round deltas, so
+// PR-3 additions: join configurations with large per-round deltas (so
 // the ΔL⋈ΔR cross term dominates) and a many-tables-few-touched
 // configuration (an 8-way join chain where each round touches one base
 // table — the case delta routing exists for).
@@ -29,7 +29,9 @@ namespace {
 
 uint64_t g_master = 2004;
 
-// Builds a DeltaSet of `updates` label flips, like a k-step MH round.
+// Builds the DeltaSet of a run of `updates` accepted MH steps, like a
+// thinning interval. Accepted steps include proposals of the current label
+// (1 in 9), so on a burned-in world most of them change nothing.
 view::DeltaSet MakeLabelDeltas(NerBench& bench, size_t updates,
                                uint64_t seed) {
   auto proposal = bench.MakeProposal();
@@ -47,17 +49,25 @@ view::DeltaSet MakeLabelDeltas(NerBench& bench, size_t updates,
   return bench.tokens.pdb->TakeDeltas();
 }
 
+NerBench& BurnedInBench(size_t num_tokens);
+
+// Query 1 re-run from scratch on a burned-in world (the all-'O' initial
+// world selects no row), the same world BM_FilteredScan and
+// BM_ViewInitialize read.
 void BM_FullQueryExecution(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  NerBench bench(n, DeriveSeed(g_master, 0));
+  NerBench& bench = BurnedInBench(static_cast<size_t>(state.range(0)));
   ra::PlanPtr plan = sql::PlanQuery(ie::kQuery1, bench.tokens.pdb->db());
+  size_t answer_tuples = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ra::Execute(*plan, bench.tokens.pdb->db()));
+    const auto answer = ra::Execute(*plan, bench.tokens.pdb->db());
+    answer_tuples = answer.size();
+    benchmark::DoNotOptimize(answer_tuples);
   }
+  state.counters["answer_tuples"] = static_cast<double>(answer_tuples);
 }
 
 // Pre-generates a consistent sequence of delta rounds (each `flips` accepted
-// label flips) so the timed loop measures only MaterializedView::Apply.
+// steps) so the timed loop measures only MaterializedView::Apply.
 // The sequence comes from one continuous chain, so applying the rounds in
 // order keeps the view consistent.
 std::vector<view::DeltaSet> MakeDeltaSequence(NerBench& bench, size_t rounds,
@@ -74,10 +84,15 @@ std::vector<view::DeltaSet> MakeDeltaSequence(NerBench& bench, size_t rounds,
 // replay consistently only once, in order, from the initial world).
 constexpr size_t kDeltaRounds = 1000;
 
+// The world is burned in first, so the rounds come from the chain's
+// stationary phase (where an engine's views spend their life), not its
+// transient away from all-'O'. `delta_tuples` is the mean |Δ−| + |Δ+| per
+// round.
 void ApplyDeltaBench(benchmark::State& state, const char* query,
                      size_t rounds, size_t flips) {
   const size_t n = static_cast<size_t>(state.range(0));
   NerBench bench(n, DeriveSeed(g_master, 1));
+  bench.BurnIn(DefaultBurnIn(n), DeriveSeed(g_master, 9));
   ra::PlanPtr plan = sql::PlanQuery(query, bench.tokens.pdb->db());
   view::MaterializedView view(*plan);
   view.Initialize(bench.tokens.pdb->db());
@@ -85,10 +100,14 @@ void ApplyDeltaBench(benchmark::State& state, const char* query,
   const auto deltas =
       MakeDeltaSequence(bench, rounds + 64, flips, DeriveSeed(g_master, 2));
   size_t i = 0;
+  int64_t delta_tuples = 0;
   for (auto _ : state) {
     FGPDB_CHECK_LT(i, deltas.size());
+    delta_tuples += deltas[i].TotalMagnitude();
     benchmark::DoNotOptimize(view.Apply(deltas[i++]));
   }
+  state.counters["delta_tuples"] =
+      static_cast<double>(delta_tuples) / static_cast<double>(i);
 }
 
 void BM_ViewApplyDelta(benchmark::State& state) {
@@ -105,10 +124,10 @@ void BM_ViewApplyDeltaAggregate(benchmark::State& state) {
   ApplyDeltaBench(state, ie::kQuery3, kDeltaRounds, 100);
 }
 
-// Join-heavy configuration: long thinning intervals produce ~2000-entry
-// deltas on both inputs of Query 4's self-join, so the ΔL⋈ΔR cross term
-// dominates. A nested-loop cross term is O(|ΔL|·|ΔR|) tuple projections per
-// round; hash-grouped probing is O(|Δ|·matches).
+// Longer thinning intervals (500 and 2000 accepted steps) through Query 4's
+// self-join. On the stationary chain they carry about 7 and 16 delta tuples
+// per round (`delta_tuples`); the large-delta case, where the ΔL⋈ΔR cross
+// term dominates, is BM_ViewApplyDeltaJoinCross.
 constexpr size_t kJoinHeavyRounds = 200;
 
 void BM_ViewApplyDeltaJoinHeavy(benchmark::State& state) {
@@ -286,10 +305,10 @@ void BM_ViewApplyDeltaManyTables(benchmark::State& state) {
 
 // --- Initialization: one streamed pass per view ----------------------------
 //
-// Both benchmarks below run on a burned-in world: the initial world labels
-// every token 'O', so Query 1 would select nothing. One corpus per size is
-// built and burned in on first use and shared by every instance of that
-// size.
+// Both benchmarks below (and BM_FullQueryExecution) run on a burned-in
+// world: the initial world labels every token 'O', so Query 1 would select
+// nothing. One corpus per size is built and burned in on first use and
+// shared by every instance of that size.
 NerBench& BurnedInBench(size_t num_tokens) {
   static std::map<size_t, std::unique_ptr<NerBench>> cache;
   std::unique_ptr<NerBench>& bench = cache[num_tokens];

@@ -41,6 +41,10 @@ class Model {
 
   /// log π(w') − log π(w) for world w and hypothesized change to w'.
   /// ZX cancels (Eq. 3), so this is a plain factor-score difference.
+  /// A change that assigns every variable its current value scores exactly
+  /// +0.0: each touched factor's (finite) score contributes x − x.
+  /// MetropolisHastings' relabel loop relies on this to accept such a
+  /// proposal unscored; ConditionalRow's out[old] == +0.0 is the same rule.
   virtual double LogScoreDelta(const World& world, const Change& change) const = 0;
 
   /// Allocation-free variant: `scratch` must come from this model's

@@ -8,7 +8,9 @@
 //
 // The batch models the paper's disk-locality optimization (variables of a
 // few documents are resident in memory at a time). The kernel is symmetric
-// within a batch, so the proposal ratio is 1.
+// within a batch, so the proposal ratio is 1. It is the uniform-relabel
+// kernel infer::UniformRelabelProposal declares, so MetropolisHastings runs
+// it through the fused relabel loop of Step(n).
 #ifndef FGPDB_IE_NER_PROPOSAL_H_
 #define FGPDB_IE_NER_PROPOSAL_H_
 
@@ -25,27 +27,20 @@ struct NerProposalOptions {
   size_t docs_per_batch = 5;
 };
 
-class DocumentBatchProposal final : public infer::Proposal {
+class DocumentBatchProposal final : public infer::UniformRelabelProposal {
  public:
   /// `docs` is the document→variables structure of the TokenPdb; it must
   /// outlive the proposal.
   DocumentBatchProposal(const std::vector<std::vector<factor::VarId>>* docs,
                         NerProposalOptions options = {});
 
-  using infer::Proposal::Propose;
-  void Propose(const factor::World& world, Rng& rng, factor::Change* change,
-               double* log_ratio) override;
-
-  /// Variables in the current batch (empty before the first proposal).
-  const std::vector<factor::VarId>& batch() const { return batch_; }
-
  private:
-  void ReloadBatch(Rng& rng);
+  /// Loads `docs_per_batch` uniformly drawn documents' variables; the batch
+  /// serves `proposals_per_batch` proposals.
+  size_t ReloadSites(Rng& rng, std::vector<factor::VarId>* sites) override;
 
   const std::vector<std::vector<factor::VarId>>* docs_;
   NerProposalOptions options_;
-  std::vector<factor::VarId> batch_;
-  size_t proposals_since_reload_ = 0;
 };
 
 }  // namespace ie

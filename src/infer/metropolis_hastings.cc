@@ -19,6 +19,7 @@ MetropolisHastings::MetropolisHastings(const factor::Model& model,
       score_scratch_(model.MakeScratch()) {
   FGPDB_CHECK(world_ != nullptr);
   FGPDB_CHECK(proposal_ != nullptr);
+  relabel_ = proposal_->AsUniformRelabel();
 }
 
 size_t MetropolisHastings::Step(size_t n) {
@@ -47,6 +48,42 @@ size_t MetropolisHastings::Step(size_t n) {
 #endif
     batch_applied_.clear();
   };
+
+  // Relabel: for a proposal that IS the §5.1 uniform-relabel kernel, make
+  // UniformRelabelProposal::Propose's draws here — DrawSite (which reloads
+  // the batch from rng_ exactly where Propose would), then the value — and
+  // score through the one-assignment change_buf_ rewritten in place. A
+  // proposal of the current value is accepted unscored: the generic loop
+  // scores it to exactly +0.0 (the Model::LogScoreDelta no-op contract),
+  // accepts without an acceptance draw, and applies nothing. The proposal
+  // ratio is 0 and x + 0.0 decides like x, so log_alpha is the model ratio.
+  if (relabel_ != nullptr) {
+    const uint32_t num_values = relabel_->num_values();
+    const uint8_t* const shadow = world_->label_shadow();
+    change_buf_.Clear();
+    change_buf_.Set(0, 0);
+    factor::Assignment& proposed = change_buf_.assignments[0];
+    for (size_t i = 0; i < n; ++i) {
+      ++num_proposed_;
+      const factor::VarId var = relabel_->DrawSite(rng_);
+      const auto value = static_cast<uint32_t>(rng_.UniformInt(num_values));
+      const uint32_t old_value =
+          shadow != nullptr ? shadow[var] : world_->Get(var);
+      if (value != old_value) {
+        proposed = {var, value};
+        const double log_alpha = model_.LogScoreDelta(*world_, change_buf_,
+                                                      score_scratch_.get());
+        if (!MetropolisAccepts(log_alpha, rng_)) continue;
+        world_->Set(var, value);
+        if (record) batch_applied_.push_back({var, old_value, value});
+      }
+      ++num_accepted_;
+      ++accepted;
+      if (batch_applied_.size() >= kMirrorBatchLimit) flush();
+    }
+    flush();
+    return accepted;
+  }
 
   // Row-driven Gibbs: for a proposal that IS the single-site Gibbs kernel,
   // fuse propose/score/accept — draw the site, fill the conditional row
@@ -114,9 +151,7 @@ size_t MetropolisHastings::Step(size_t n) {
       const double log_q_backward = row_buf_[old_value] - lse;
       const double log_proposal_ratio = log_q_backward - log_q_forward;
       const double log_alpha = row_buf_[new_value] + log_proposal_ratio;
-      bool accept = log_alpha >= 0.0;
-      if (!accept) accept = rng_.Uniform() < std::exp(log_alpha);
-      if (!accept) continue;
+      if (!MetropolisAccepts(log_alpha, rng_)) continue;
       world_->Set(var, new_value);
       if (record) batch_applied_.push_back({var, old_value, new_value});
       ++num_accepted_;
@@ -139,9 +174,7 @@ size_t MetropolisHastings::Step(size_t n) {
     const double log_model_ratio =
         model_.LogScoreDelta(*world_, change_buf_, score_scratch_.get());
     const double log_alpha = log_model_ratio + log_proposal_ratio;
-    bool accept = log_alpha >= 0.0;
-    if (!accept) accept = rng_.Uniform() < std::exp(log_alpha);
-    if (!accept) continue;
+    if (!MetropolisAccepts(log_alpha, rng_)) continue;
 
     // Apply in assignment order, keeping only real modifications — the
     // in-place equivalent of World::Apply + the no-op filter, appending

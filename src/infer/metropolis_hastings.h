@@ -19,6 +19,7 @@
 #ifndef FGPDB_INFER_METROPOLIS_HASTINGS_H_
 #define FGPDB_INFER_METROPOLIS_HASTINGS_H_
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -29,6 +30,28 @@
 
 namespace fgpdb {
 namespace infer {
+
+/// Exactly `u < std::exp(log_alpha)`, for every u and log_alpha (NaN and
+/// infinities included), without the exp when a cubic bound already
+/// decides a rejection. With x = −log_alpha, e^x ≥ P(x) = 1 + x + x²/2 +
+/// x³/6 for every real x (the Taylor remainder e^ξ·x⁴/24 is never
+/// negative), so u·P(x) ≥ 1 + 2⁻³⁰ puts u above e^(−x) by far more than
+/// the few ulps of rounding in P, the product and std::exp. A burned-in
+/// §5.1 chain rejects nearly every proposal by a wide margin; those
+/// rejections cost a few multiplies instead of an exp.
+inline bool UniformBelowExp(double u, double log_alpha) {
+  const double x = -log_alpha;
+  const double p = 1.0 + x * (1.0 + x * (0.5 + x * (1.0 / 6.0)));
+  if (u * p >= 1.0 + 0x1p-30) return false;
+  return u < std::exp(log_alpha);
+}
+
+/// The MH acceptance test of Eq. 3, shared by every loop of Step(n): a
+/// log_alpha ≥ 0 accepts without a draw; otherwise one Uniform() draw u
+/// accepts iff u < exp(log_alpha).
+inline bool MetropolisAccepts(double log_alpha, Rng& rng) {
+  return log_alpha >= 0.0 || UniformBelowExp(rng.Uniform(), log_alpha);
+}
 
 class MetropolisHastings {
  public:
@@ -61,15 +84,25 @@ class MetropolisHastings {
   /// per-step mirror cost amortizes away. All buffered assignments are
   /// flushed before returning — after Step(n), listeners have seen exactly
   /// what n calls of Step(1) would have shown them, in the same order.
+  /// Returns the number of accepted transitions.
   ///
-  /// When the proposal declares itself single-site Gibbs
-  /// (Proposal::IsSingleSiteGibbs), the loop samples the candidate directly
-  /// from the model's vectorized ConditionalRow — one scoring pass per step
-  /// instead of Propose's row fill plus a second LogScoreDelta for the
-  /// acceptance test. The fused loop replicates GibbsProposal::Propose +
-  /// the generic loop draw-for-draw and FP-op-for-FP-op, so accepted jumps,
-  /// applied streams and final worlds are bitwise-identical to the
-  /// two-call path. Returns the number of accepted transitions.
+  /// The proposal's declaration picks one of three loops; every one
+  /// decides acceptance through MetropolisAccepts, and the two fused loops
+  /// replay the generic loop draw-for-draw, so accepted jumps, applied
+  /// streams, counters, final worlds and the next RNG draw are
+  /// bitwise-identical to running the same kernel through it.
+  ///   * Relabel (Proposal::AsUniformRelabel, the §5.1 kernel): draws the
+  ///     site and the value inline — no virtual Propose, no Change rebuilt
+  ///     per step — and accepts a proposal of the current value (read from
+  ///     the label shadow when the world has one) without scoring it: the
+  ///     generic loop scores it to +0.0 (Model::LogScoreDelta's no-op
+  ///     contract) and accepts without a draw.
+  ///   * Row-driven Gibbs (Proposal::IsSingleSiteGibbs): samples the
+  ///     candidate directly from the model's vectorized ConditionalRow and
+  ///     reuses row[new] as the model ratio — one scoring pass per step
+  ///     instead of Propose's row fill plus a second LogScoreDelta.
+  ///   * Generic: Propose, LogScoreDelta, accept, apply — every other
+  ///     proposal, and the reference both fused loops are tested against.
   size_t Step(size_t n);
 
   /// Runs `n` transitions (Algorithm 2's random walk).
@@ -98,8 +131,13 @@ class MetropolisHastings {
   /// sharing one model never share mutable state.
   std::unique_ptr<factor::ScoreScratch> score_scratch_;
 
-  /// Reused proposal buffer: Propose writes into it every step, so the
-  /// propose phase does zero allocation.
+  /// The proposal's relabel declaration (Proposal::AsUniformRelabel),
+  /// resolved once: null runs the other loops.
+  UniformRelabelProposal* relabel_ = nullptr;
+
+  /// Reused proposal buffer: Propose writes into it every step (the
+  /// relabel loop rewrites its one assignment in place), so the propose
+  /// phase does zero allocation.
   factor::Change change_buf_;
   /// Accepted-jump buffer; flushed to listeners at kMirrorBatchLimit
   /// assignments and at the end of every Step(n).

@@ -7,6 +7,15 @@
 namespace fgpdb {
 namespace infer {
 
+void UniformRelabelProposal::Propose(const factor::World& /*world*/,
+                                     Rng& rng, factor::Change* change,
+                                     double* log_ratio) {
+  *log_ratio = 0.0;
+  change->Clear();
+  const factor::VarId var = DrawSite(rng);
+  change->Set(var, static_cast<uint32_t>(rng.UniformInt(num_values_)));
+}
+
 void GibbsProposal::Propose(const factor::World& world, Rng& rng,
                             factor::Change* change, double* log_ratio) {
   *log_ratio = 0.0;

@@ -10,6 +10,13 @@
 // their site-selection state (document batches, candidate-label buffers)
 // in member storage — propose does zero hashing/allocation, exactly like
 // the compiled scoring path it feeds.
+//
+// Two kernels can declare themselves so MetropolisHastings::Step(n) runs a
+// fused loop for them: single-site Gibbs (IsSingleSiteGibbs) and the §5.1
+// uniform relabel (AsUniformRelabel, a UniformRelabelProposal). A fused
+// loop makes the declared kernel's draws itself and must leave every draw,
+// applied assignment and world bitwise as the generic loop would; the
+// tests hold each one to a forwarding wrapper that does not declare.
 #ifndef FGPDB_INFER_PROPOSAL_H_
 #define FGPDB_INFER_PROPOSAL_H_
 
@@ -22,6 +29,8 @@
 
 namespace fgpdb {
 namespace infer {
+
+class UniformRelabelProposal;
 
 class Proposal {
  public:
@@ -60,6 +69,61 @@ class Proposal {
     FGPDB_CHECK(false) << "not a single-site Gibbs proposal";
     return 0;
   }
+
+  /// Non-null when this proposal IS the uniform-relabel kernel of paper
+  /// §5.1 (a UniformRelabelProposal, whose Propose() is final). Declaring
+  /// it makes MetropolisHastings::Step(n) run its relabel loop, which makes
+  /// the same draws as Propose() inline and decides each proposal exactly
+  /// as the generic loop would; an undeclared wrapper around the same
+  /// kernel runs through the generic loop (the path the tests compare it
+  /// to).
+  virtual UniformRelabelProposal* AsUniformRelabel() { return nullptr; }
+};
+
+/// The uniform-relabel kernel (paper §5.1): pick a site uniformly from the
+/// current batch, then a value uniformly from [0, num_values()), and reload
+/// the batch every so many proposals. The proposal is symmetric, so the
+/// ratio is 0. Subclasses supply only the reload; the batch and the
+/// proposals-left counter live here and are the one state that both
+/// Propose() and MetropolisHastings::Step(n)'s relabel loop read, so a
+/// chain may alternate the two freely.
+class UniformRelabelProposal : public Proposal {
+ public:
+  explicit UniformRelabelProposal(uint32_t num_values)
+      : num_values_(num_values) {
+    FGPDB_CHECK_GT(num_values_, 0u);
+  }
+
+  using Proposal::Propose;
+  /// {DrawSite(rng) ← rng.UniformInt(num_values())}, log_ratio = 0.
+  void Propose(const factor::World& world, Rng& rng, factor::Change* change,
+               double* log_ratio) final;
+
+  UniformRelabelProposal* AsUniformRelabel() final { return this; }
+
+  /// The site draw, Propose()'s first: reloads the batch from `rng` when
+  /// no proposals are left, then picks a site of it uniformly.
+  factor::VarId DrawSite(Rng& rng) {
+    if (proposals_left_ == 0) proposals_left_ = ReloadSites(rng, &sites_);
+    --proposals_left_;
+    return sites_[rng.UniformInt(sites_.size())];
+  }
+
+  /// The current batch (empty before the first proposal).
+  const std::vector<factor::VarId>& sites() const { return sites_; }
+  uint32_t num_values() const { return num_values_; }
+  /// Proposals the current batch still serves; 0 = the next draw reloads.
+  size_t proposals_left() const { return proposals_left_; }
+
+ protected:
+  /// Refills `*sites` (non-empty) drawing from `rng`, and returns how many
+  /// proposals the new batch serves (> 0).
+  virtual size_t ReloadSites(Rng& rng, std::vector<factor::VarId>* sites) = 0;
+
+ private:
+  const uint32_t num_values_;
+  std::vector<factor::VarId> sites_;
+  size_t proposals_left_ = 0;
 };
 
 /// The generic symmetric kernel: pick a variable uniformly, pick a new value

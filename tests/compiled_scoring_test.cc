@@ -3,9 +3,9 @@
 // reference (oracles/reference_skip_chain_model.h) computes, tables refresh
 // lazily when the parameter version moves, and the scratch-reuse protocol
 // changes no results. Also the step kernel's parity references:
-// ReferenceStep for Step(n), TwoCallGibbs for the fused Gibbs loop, and
-// per-step mirroring (oracles/mirrored_sampler.h) for the shared chain on
-// Queries 1–4.
+// ReferenceStep for Step(n), TwoCallGibbs for the fused Gibbs loop,
+// GenericRelabel for the fused relabel loop, and per-step mirroring
+// (oracles/mirrored_sampler.h) for the shared chain on Queries 1–4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,9 +20,11 @@
 #include "ie/ner_features.h"
 #include "ie/ner_proposal.h"
 #include "ie/queries.h"
+#include "ie/shard_plan.h"
 #include "ie/skip_chain_model.h"
 #include "ie/token_pdb.h"
 #include "infer/metropolis_hastings.h"
+#include "infer/shard_runner.h"
 #include "learn/objective.h"
 #include "learn/samplerank.h"
 #include "oracles/mirrored_sampler.h"
@@ -117,6 +119,30 @@ class TwoCallGibbs final : public infer::Proposal {
 
  private:
   infer::GibbsProposal gibbs_;
+};
+
+// Forwards to a §5.1 relabel proposal without declaring the kernel
+// (AsUniformRelabel stays null), so MetropolisHastings runs it through the
+// generic loop: Propose draws the site and the value, and every proposal is
+// scored, proposals of the current value included. The reference the fused
+// relabel loop must replay.
+class GenericRelabel final : public infer::Proposal {
+ public:
+  explicit GenericRelabel(std::unique_ptr<infer::Proposal> relabel)
+      : relabel_(std::move(relabel)) {}
+
+  using Proposal::Propose;
+  void Propose(const factor::World& world, Rng& rng, factor::Change* change,
+               double* log_ratio) override {
+    relabel_->Propose(world, rng, change, log_ratio);
+  }
+
+  const infer::UniformRelabelProposal& relabel() const {
+    return *relabel_->AsUniformRelabel();
+  }
+
+ private:
+  std::unique_ptr<infer::Proposal> relabel_;
 };
 
 // One chain over a private copy of `start` that records every listener
@@ -464,6 +490,91 @@ TEST(CompiledScoringTest, RowGibbsMatchesReferenceBitwise) {
   EXPECT_EQ(naive_fused.sampler.Step(1000), naive_two_call.sampler.Step(1000));
   ExpectSameWalk(naive_fused.world, naive_fused.stream, naive_two_call.world,
                  naive_two_call.stream);
+}
+
+// The relabel loop: with the §5.1 kernel declared (DocumentBatchProposal),
+// Step(n) draws site and value inline, accepts proposals of the current
+// value unscored and decides rejections through the exp-free bound. It must
+// replay the generic loop (GenericRelabel) exactly: same accepted counts,
+// counters, applied stream, final world, batch state and next RNG draw.
+// Call sizes split batches of 250 mid-call and cross the mirror flush; the
+// world is shuffled so early steps accept often and later ones mostly
+// reject. Then the same through a 4-shard ShardRunner.
+TEST(CompiledScoringTest, RelabelLoopMatchesGenericLoopBitwise) {
+  CompiledVsNaive fixture(8000, 89);
+  fixture.world = fixture.tokens.pdb->world();  // Carries the label shadow.
+  ASSERT_TRUE(fixture.world.has_label_shadow());
+  Rng shuffle(19);
+  fixture.ShuffleWorld(shuffle);
+  const SkipChainNerModel& model = *fixture.compiled;
+  const NerProposalOptions batch{.proposals_per_batch = 250};
+  const auto& docs = fixture.tokens.docs;
+  const std::vector<size_t> kCalls = {7, 1, 4099, 20000, 1, 7};
+  const uint64_t kSeed = 4242;
+
+  factor::World plain = fixture.world;
+  plain.DisableLabelShadow();
+  for (const factor::World* start : {&fixture.world, &plain}) {
+    RecordingChain<DocumentBatchProposal> fused(model, *start, kSeed, &docs,
+                                                batch);
+    RecordingChain<GenericRelabel> generic(
+        model, *start, kSeed,
+        std::make_unique<DocumentBatchProposal>(&docs, batch));
+    ASSERT_NE(fused.proposal.AsUniformRelabel(), nullptr);
+    ASSERT_EQ(generic.proposal.AsUniformRelabel(), nullptr);
+    for (const size_t n : kCalls) {
+      ASSERT_EQ(fused.sampler.Step(n), generic.sampler.Step(n))
+          << "Step(" << n << ")";
+      ASSERT_EQ(fused.sampler.num_proposed(), generic.sampler.num_proposed());
+      ASSERT_EQ(fused.sampler.num_accepted(), generic.sampler.num_accepted());
+      ASSERT_EQ(fused.proposal.proposals_left(),
+                generic.proposal.relabel().proposals_left());
+      ASSERT_EQ(fused.proposal.sites(), generic.proposal.relabel().sites());
+    }
+    EXPECT_GT(fused.stream.size(),
+              infer::MetropolisHastings::kMirrorBatchLimit);
+    EXPECT_LT(fused.sampler.acceptance_rate(), 0.5);
+    ExpectSameWalk(fused.world, fused.stream, generic.world, generic.stream);
+    EXPECT_EQ(fused.sampler.rng().Next(), generic.sampler.rng().Next());
+    EXPECT_TRUE(fused.world.LabelShadowConsistent());
+  }
+
+  // Four shard chains over document blocks: each shard's chain takes the
+  // relabel loop on one side and the generic loop on the other.
+  const pdb::ShardPlan plan = BuildDocumentShardPlan(
+      fixture.tokens, model, {.num_shards = 4, .proposal = batch});
+  ASSERT_EQ(plan.num_shards, 4u);
+  std::vector<std::unique_ptr<infer::Proposal>> fused_proposals;
+  std::vector<std::unique_ptr<infer::Proposal>> generic_proposals;
+  for (size_t s = 0; s < plan.num_shards; ++s) {
+    fused_proposals.push_back(plan.make_proposal(*fixture.tokens.pdb, s));
+    generic_proposals.push_back(std::make_unique<GenericRelabel>(
+        plan.make_proposal(*fixture.tokens.pdb, s)));
+  }
+  factor::World fused_world = fixture.world;
+  factor::World generic_world = fixture.world;
+  infer::ShardRunner fused(model, &fused_world, std::move(fused_proposals),
+                           plan.partition, {.seed = kSeed});
+  infer::ShardRunner generic(model, &generic_world,
+                             std::move(generic_proposals), plan.partition,
+                             {.seed = kSeed});
+  Stream fused_stream;
+  Stream generic_stream;
+  for (const size_t n : kCalls) {
+    ASSERT_EQ(fused.Step(n,
+                         [&](const Stream& s) {
+                           fused_stream.insert(fused_stream.end(), s.begin(),
+                                               s.end());
+                         }),
+              generic.Step(n, [&](const Stream& s) {
+                generic_stream.insert(generic_stream.end(), s.begin(),
+                                      s.end());
+              }))
+        << "Step(" << n << ")";
+    ASSERT_EQ(fused.num_proposed(), generic.num_proposed());
+    ASSERT_EQ(fused.num_accepted(), generic.num_accepted());
+  }
+  ExpectSameWalk(fused_world, fused_stream, generic_world, generic_stream);
 }
 
 // Label-layout parity (PR 10): a world carrying the uint8 shadow lane and

@@ -216,10 +216,12 @@ TEST(NerProposalTest, FlipsOneLabelVariableWithinBatch) {
     EXPECT_EQ(log_ratio, 0.0);  // Symmetric.
     ASSERT_EQ(change.assignments.size(), 1u);
     EXPECT_LT(change.assignments[0].value, kNumLabels);
-    // The proposed variable must be inside the current batch.
-    const auto& batch = proposal.batch();
+    // The proposed variable must be inside the current batch, and a batch
+    // serves exactly proposals_per_batch proposals before the next reload.
+    const auto& batch = proposal.sites();
     EXPECT_NE(std::find(batch.begin(), batch.end(), change.assignments[0].var),
               batch.end());
+    EXPECT_EQ(proposal.proposals_left(), 99u - i % 100u);
   }
 }
 

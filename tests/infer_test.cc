@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "factor/factor_graph.h"
 #include "infer/metropolis_hastings.h"
@@ -202,6 +204,77 @@ TEST(MetropolisHastingsTest, ListenersSeeOnlyRealChanges) {
   sampler.Run(2000);
   EXPECT_GT(notified, 0u);
   EXPECT_LE(notified, sampler.num_accepted());
+}
+
+// The reference every Step(n) loop's acceptance must equal: a draw u
+// accepts iff u < exp(log_alpha).
+bool ExpAccepts(double u, double log_alpha) { return u < std::exp(log_alpha); }
+
+// 1/P(x) for x = −log_alpha, P(x) = 1 + x + x²/2 + x³/6: the draw above
+// which UniformBelowExp rejects without an exp.
+double CubicBound(double log_alpha) {
+  const double x = -log_alpha;
+  return 1.0 / (1.0 + x * (1.0 + x * (0.5 + x * (1.0 / 6.0))));
+}
+
+// Draws u and one ulp either side of it, kept to [0, 1).
+void AddNeighborhood(double u, std::vector<double>* out) {
+  for (const double v : {std::nextafter(u, -1.0), u, std::nextafter(u, 2.0)}) {
+    if (v >= 0.0 && v < 1.0) out->push_back(v);
+  }
+}
+
+TEST(MetropolisAcceptsTest, BoundDecidesLikeExpAtEdges) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double log_alpha : {kNaN, -kInf, 0.0, -0.0, -1e-300, -36.7,
+                                 -745.2, -746.0, -1e308}) {
+    std::vector<double> draws = {0.0, 0x1p-53, 0.5, 1.0 - 0x1p-53};
+    AddNeighborhood(std::exp(log_alpha), &draws);
+    AddNeighborhood(CubicBound(log_alpha), &draws);
+    for (const double u : draws) {
+      EXPECT_EQ(UniformBelowExp(u, log_alpha), ExpAccepts(u, log_alpha))
+          << "u=" << u << " log_alpha=" << log_alpha;
+    }
+  }
+}
+
+TEST(MetropolisAcceptsTest, BoundDecidesLikeExpOnSeededPairs) {
+  // A third of the draws are uniform (the bound decides most rejections),
+  // a third sit within a few ulps of exp(log_alpha) and a third within a
+  // few ulps of 1/P, where only the exact test can decide.
+  Rng rng(20261019);
+  size_t accepted = 0;
+  const size_t kPairs = 1200000;
+  for (size_t i = 0; i < kPairs; ++i) {
+    const double log_alpha = -50.0 * rng.Uniform();
+    double u = rng.Uniform();
+    if (i % 3 != 0) {
+      u = i % 3 == 1 ? std::exp(log_alpha) : CubicBound(log_alpha);
+      for (uint64_t k = rng.UniformInt(7); k > 0; --k) {
+        u = std::nextafter(u, i % 2 == 0 ? -1.0 : 2.0);
+      }
+      if (u < 0.0 || u >= 1.0) continue;
+    }
+    const bool want = ExpAccepts(u, log_alpha);
+    ASSERT_EQ(UniformBelowExp(u, log_alpha), want)
+        << "u=" << u << " log_alpha=" << log_alpha;
+    if (want) ++accepted;
+  }
+  EXPECT_GT(accepted, kPairs / 10);  // Both outcomes well exercised.
+}
+
+TEST(MetropolisAcceptsTest, DrawsOnlyBelowZero) {
+  Rng rng(5);
+  Rng twin(5);
+  EXPECT_TRUE(MetropolisAccepts(0.0, rng));
+  EXPECT_TRUE(MetropolisAccepts(3.5, rng));
+  EXPECT_EQ(rng.Next(), twin.Next());  // No draw consumed.
+  const double u = twin.Uniform();
+  EXPECT_EQ(MetropolisAccepts(-0.25, rng), u < std::exp(-0.25));
+  EXPECT_EQ(rng.Next(), twin.Next());  // Exactly one draw consumed.
+  EXPECT_FALSE(MetropolisAccepts(std::numeric_limits<double>::quiet_NaN(),
+                                 rng));
 }
 
 TEST(MarginalEstimatorTest, CountsAndMerge) {

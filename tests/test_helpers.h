@@ -2,6 +2,7 @@
 #ifndef FGPDB_TESTS_TEST_HELPERS_H_
 #define FGPDB_TESTS_TEST_HELPERS_H_
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,16 @@
 #include "view/delta.h"
 
 namespace fgpdb {
+namespace view {
+
+/// GoogleTest printer (found by ADL): a failed comparison of multisets
+/// shows their tuples and counts, not the object's bytes.
+inline void PrintTo(const DeltaMultiset& multiset, std::ostream* os) {
+  *os << multiset.ToString();
+}
+
+}  // namespace view
+
 namespace testing {
 
 /// Builds a small EMP(ID pk, DEPT, NAME, SALARY) table.
