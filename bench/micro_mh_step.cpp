@@ -41,8 +41,6 @@ enum SeedStream : uint64_t {
   kStreamBatchedSampler,
   kStreamSweepCorpus,
   kStreamSweepSampler,
-  kStreamRowGibbsCorpus,
-  kStreamRowGibbsSampler,
 };
 
 // Mirrors every listener flush of `sampler` into `pdb`'s tables and delta
@@ -199,26 +197,6 @@ void BM_LogScoreDelta(benchmark::State& state) {
   state.SetLabel(std::to_string(n) + " tuples, compiled");
 }
 
-void BM_ConditionalRow(benchmark::State& state) {
-  // The vectorized Gibbs conditional: one contiguous reduction over the
-  // dense tables fills all 9 candidate lanes.
-  const size_t n = static_cast<size_t>(state.range(0));
-  ScoreDeltaFixture fixture(n);
-  auto scratch = fixture.bench.model->MakeScratch();
-  double row[ie::kNumLabels];
-  size_t i = 0;
-  double sink = 0.0;
-  for (auto _ : state) {
-    const factor::VarId var = fixture.changes[i].assignments[0].var;
-    fixture.bench.model->ConditionalRow(fixture.world, var, row,
-                                        scratch.get());
-    sink += row[ie::kNumLabels - 1];
-    if (++i == fixture.changes.size()) i = 0;
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetLabel(std::to_string(n) + " tuples, all-label row");
-}
-
 void BM_MhStepWorkingSet(benchmark::State& state) {
   // Working-set sweep for the cache-resident layout: 10k tokens keep the
   // hot block inside L2, 2M tokens (32 MB of 16-byte records alone, plus
@@ -239,31 +217,10 @@ void BM_MhStepWorkingSet(benchmark::State& state) {
   bench.tokens.pdb->DiscardDeltas();
 }
 
-void BM_GibbsRowKernel(benchmark::State& state) {
-  // Row-driven Gibbs: Step(n)'s fused loop samples the candidate straight
-  // off ConditionalRow and reuses row[new] as the model ratio. The two-call
-  // path it replays bitwise lives in the tests
-  // (RowGibbsMatchesReferenceBitwise).
-  const size_t n = static_cast<size_t>(state.range(0));
-  constexpr size_t kBatch = 1024;
-  NerBench bench(n, DeriveSeed(g_master, kStreamRowGibbsCorpus));
-  infer::GibbsProposal proposal(*bench.model);
-  infer::MetropolisHastings sampler(
-      *bench.model, &bench.tokens.pdb->world(), &proposal,
-      DeriveSeed(g_master, kStreamRowGibbsSampler));
-  MirrorInto(&sampler, bench.tokens.pdb.get());
-  sampler.Run(100);
-  for (auto _ : state) {
-    sampler.Step(kBatch);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBatch);
-  state.SetLabel(std::to_string(n) + " tuples, row kernel");
-  bench.tokens.pdb->DiscardDeltas();
-}
-
 void BM_GibbsStep(benchmark::State& state) {
-  // Gibbs resampling evaluates the local conditional for all 9 labels —
-  // through ConditionalRow when the model offers it.
+  // Gibbs resampling scores the 8 other labels, one LogScoreDelta each,
+  // and the generic loop rescores the drawn one. No engine path builds a
+  // GibbsProposal; this micro keeps the kernel runnable.
   const size_t n = static_cast<size_t>(state.range(0));
   NerBench bench(n, DeriveSeed(g_master, kStreamGibbsCorpus));
   infer::GibbsProposal proposal(*bench.model);
@@ -287,8 +244,6 @@ BENCHMARK(BM_MhStepGeneric)->Arg(10000)->Arg(200000)
     ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_LogScoreDelta)->Arg(10000)->Arg(200000)
     ->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_ConditionalRow)->Arg(10000)->Arg(200000)
-    ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_MhStepLinearChain)->Arg(10000)->Arg(200000)
     ->Unit(benchmark::kNanosecond);
 BENCHMARK(BM_GibbsStep)->Arg(10000)->Arg(50000)
@@ -296,8 +251,6 @@ BENCHMARK(BM_GibbsStep)->Arg(10000)->Arg(50000)
 BENCHMARK(BM_MhStepWorkingSet)
     ->Arg(10000)->Arg(50000)->Arg(200000)->Arg(500000)->Arg(1000000)
     ->Arg(2000000)
-    ->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_GibbsRowKernel)->Arg(10000)->Arg(200000)
     ->Unit(benchmark::kNanosecond);
 
 int main(int argc, char** argv) {

@@ -107,9 +107,6 @@ ResultHandle Session::Register(const PreparedQueryPtr& prepared) {
     const size_t chain_slot = chain_->AddQuery(&prepared->plan());
     FGPDB_CHECK_EQ(chain_slot, slot);
   }
-  for (const std::string& table : prepared->plan().ScannedTables()) {
-    ++subscriptions_[table];
-  }
   {
     // Registration may race with a concurrent Snapshot() under the
     // multi-chain policies (it reallocates the slot vector).
@@ -135,7 +132,6 @@ uint64_t Session::RunParallelRound(uint64_t samples_per_chain,
   parallel.num_chains = num_chains;
   parallel.samples_per_chain = samples_per_chain;
   parallel.chain_options = options_.evaluator;
-  parallel.materialized = true;
   parallel.max_threads = options_.policy.max_threads;
   parallel.track_chain_stats = until;
   pdb::MultiQueryAnswer batch =
@@ -251,10 +247,6 @@ QueryProgress Session::SnapshotSlot(size_t slot) const {
             });
   progress.samples = progress.answer.num_samples();
   return progress;
-}
-
-const std::unordered_map<std::string, size_t>& Session::subscriptions() const {
-  return subscriptions_;
 }
 
 }  // namespace api

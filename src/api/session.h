@@ -333,11 +333,6 @@ class Session {
   /// Prepared-statement cache size (distinct normalized texts).
   size_t prepared_cache_size() const { return prepared_cache_.size(); }
 
-  /// Session-level union subscription map: base table → scan count across
-  /// every registered view (serial/naive policies; parallel chains build
-  /// their own per-chain copies).
-  const std::unordered_map<std::string, size_t>& subscriptions() const;
-
   /// The cache key for `sql`: sql::NormalizeForCache, the one definition
   /// shared with the cross-session serve-layer plan cache. Whitespace and
   /// `--`/`/* */` comments between tokens vanish, keywords uppercase, `!=`
@@ -379,9 +374,6 @@ class Session {
 
   std::unordered_map<std::string, PreparedQueryPtr> prepared_cache_;
   std::vector<Registered> registered_;
-  /// Union of every registered view's table→scan routes (ScannedTables
-  /// counts; identical to the per-view subscription maps summed).
-  std::unordered_map<std::string, size_t> subscriptions_;
 
   /// Parallel policy bookkeeping: Run() epochs get distinct seed salts so
   /// successive calls sample fresh, decorrelated chain batches.

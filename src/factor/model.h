@@ -44,7 +44,8 @@ class Model {
   /// A change that assigns every variable its current value scores exactly
   /// +0.0: each touched factor's (finite) score contributes x − x.
   /// MetropolisHastings' relabel loop relies on this to accept such a
-  /// proposal unscored; ConditionalRow's out[old] == +0.0 is the same rule.
+  /// proposal unscored, and GibbsProposal gives the current value's lane
+  /// the same +0.0 without scoring it.
   virtual double LogScoreDelta(const World& world, const Change& change) const = 0;
 
   /// Allocation-free variant: `scratch` must come from this model's
@@ -60,24 +61,6 @@ class Model {
   /// Creates reusable scoring scratch for one caller (one chain). Returns
   /// nullptr for models whose scoring needs no working buffers.
   virtual std::unique_ptr<ScoreScratch> MakeScratch() const { return nullptr; }
-
-  /// Batched Gibbs conditional: fills `out[v]` with
-  /// LogScoreDelta(world, {var ← v}) for every candidate value
-  /// v ∈ [0, domain_size(var)) as ONE contiguous reduction, instead of
-  /// domain_size separate delta calls. Each out[v] must be bitwise-equal to
-  /// the per-candidate path (so out[world.Get(var)] == 0), which keeps a
-  /// Gibbs chain's trajectory independent of which path computed the row.
-  /// Returns false when the model has no fast path (the default); callers
-  /// then fall back to per-candidate LogScoreDelta. `scratch` follows the
-  /// LogScoreDelta contract (nullptr allowed).
-  virtual bool ConditionalRow(const World& world, VarId var, double* out,
-                              ScoreScratch* scratch) const {
-    (void)world;
-    (void)var;
-    (void)out;
-    (void)scratch;
-    return false;
-  }
 
   /// Unnormalized log π(w) over the *entire* graph. Potentially expensive —
   /// used by exact inference, tests, and diagnostics, never by the sampler.

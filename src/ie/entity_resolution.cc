@@ -141,34 +141,6 @@ double EntityResolutionModel::LogScoreDelta(
   return delta;
 }
 
-bool EntityResolutionModel::ConditionalRow(const factor::World& world,
-                                           factor::VarId var, double* out,
-                                           factor::ScoreScratch* scratch) const {
-  (void)scratch;  // The scatter needs no per-call working memory.
-  const size_t n = mentions_.size();
-  const uint32_t cvar = world.Get(var);
-  std::fill(out, out + n, 0.0);
-  const double* row = affinity_.data() + static_cast<size_t>(var) * n;
-  // One ascending pass over the partners. A partner co-clustered with `var`
-  // loses its affinity in every candidate lane except cvar (moving away
-  // breaks the pair); any other partner gains its affinity in exactly the
-  // lane of its own cluster id (moving there forms the pair). Per lane this
-  // adds the same terms in the same ascending-partner order as the
-  // per-candidate LogScoreDelta path, so each row entry is bitwise-equal.
-  for (size_t j = 0; j < n; ++j) {
-    if (j == var) continue;
-    const uint32_t cj = world.Get(static_cast<factor::VarId>(j));
-    const double a = row[j];
-    if (cj == cvar) {
-      for (size_t v = 0; v < n; ++v) out[v] -= a;
-    } else {
-      out[cj] += a;
-    }
-  }
-  out[cvar] = 0.0;  // Staying put is exactly a no-op, not a rounded sum.
-  return true;
-}
-
 std::unique_ptr<factor::ScoreScratch> EntityResolutionModel::MakeScratch()
     const {
   return std::make_unique<DeltaScratch>();

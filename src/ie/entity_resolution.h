@@ -44,13 +44,6 @@ class EntityResolutionModel final : public factor::Model {
   double LogScoreDelta(const factor::World& world,
                        const factor::Change& change,
                        factor::ScoreScratch* scratch) const override;
-  /// Batched Gibbs conditional over cluster ids: one ascending pass over
-  /// the affinity row scatters each pairwise term into the candidate lane
-  /// it affects, in the same per-lane order as the per-candidate path —
-  /// bitwise-identical rows at O(n + n·|cluster|) instead of O(n²).
-  bool ConditionalRow(const factor::World& world, factor::VarId var,
-                      double* out,
-                      factor::ScoreScratch* scratch) const override;
   std::unique_ptr<factor::ScoreScratch> MakeScratch() const override;
   double LogScore(const factor::World& world) const override;
   size_t num_variables() const override { return mentions_.size(); }

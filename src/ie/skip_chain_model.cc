@@ -57,20 +57,12 @@ SkipChainNerModel::SkipChainNerModel(const TokenPdb& tokens,
   const size_t trans = compiled_.AddTable(
       kNumLabels, kNumLabels,
       {[](uint32_t a, uint32_t b) { return TransitionFeature(a, b); }});
-  // Transposed copy of the transition weights: row yn holds the weights of
-  // arriving at yn from each label. Each entry is the same single
-  // Parameters::Get value as its trans_table_ mirror, so reading either
-  // table yields bitwise-identical scores.
-  const size_t trans_t = compiled_.AddTable(
-      kNumLabels, kNumLabels,
-      {[](uint32_t b, uint32_t a) { return TransitionFeature(a, b); }});
   const size_t skip = compiled_.AddTable(
       1, kNumLabels,
       {[](uint32_t, uint32_t) { return SkipSameFeature(); },
        [](uint32_t, uint32_t y) { return SkipSameLabelFeature(y); }});
   node_table_ = compiled_.data(node);
   trans_table_ = compiled_.data(trans);
-  trans_table_t_ = compiled_.data(trans_t);
   skip_table_ = compiled_.data(skip);
 }
 
@@ -152,60 +144,6 @@ double SkipChainNerModel::CompiledSingleDelta(const factor::World& world,
     return CompiledSingleDeltaImpl(var, new_label, ShadowLabels{shadow});
   }
   return CompiledSingleDeltaImpl(var, new_label, WorldLabels{&world});
-}
-
-template <typename GetLabel>
-void SkipChainNerModel::ConditionalRowImpl(VarId var, double* out,
-                                           const GetLabel& get) const {
-  const TokenHotBlock::Record& rec = hot_->records[var];
-  const uint32_t old_label = get(var);
-  // Term-outer loops: lane v accumulates exactly the terms
-  // CompiledSingleDelta(world, var, v) adds, in the same order — node, then
-  // prev edge, then next edge, then skip partners ascending — so each lane
-  // is bitwise-equal to the per-candidate delta. Lane old_label sums only
-  // exact x−x = +0.0 terms, matching the candidate path's hard zero.
-  const double* node_row =
-      node_table_ + static_cast<size_t>(rec.string_id) * kNumLabels;
-  const double node_old = node_row[old_label];
-  for (uint32_t v = 0; v < kNumLabels; ++v) out[v] = node_row[v] - node_old;
-  if (options_.use_transitions) {
-    if (rec.prev >= 0) {
-      const double* prow =
-          trans_table_ +
-          static_cast<size_t>(get(static_cast<VarId>(rec.prev))) * kNumLabels;
-      const double prow_old = prow[old_label];
-      for (uint32_t v = 0; v < kNumLabels; ++v) out[v] += prow[v] - prow_old;
-    }
-    if (rec.next >= 0) {
-      // The next-edge weights form a column of trans_table_; the transposed
-      // table exposes that column as a contiguous row.
-      const double* ncol =
-          trans_table_t_ +
-          static_cast<size_t>(get(static_cast<VarId>(rec.next))) * kNumLabels;
-      const double ncol_old = ncol[old_label];
-      for (uint32_t v = 0; v < kNumLabels; ++v) out[v] += ncol[v] - ncol_old;
-    }
-  }
-  for (const VarId p : SkipPartners(var)) {
-    const uint32_t yp = get(p);
-    const double score_old = old_label == yp ? skip_table_[old_label] : 0.0;
-    for (uint32_t v = 0; v < kNumLabels; ++v) {
-      out[v] += (v == yp ? skip_table_[yp] : 0.0) - score_old;
-    }
-  }
-}
-
-bool SkipChainNerModel::ConditionalRow(const factor::World& world,
-                                       VarId var, double* out,
-                                       factor::ScoreScratch* scratch) const {
-  (void)scratch;  // Row gathers need no per-call working memory.
-  EnsureCompiled();
-  if (const uint8_t* shadow = world.label_shadow()) {
-    ConditionalRowImpl(var, out, ShadowLabels{shadow});
-  } else {
-    ConditionalRowImpl(var, out, WorldLabels{&world});
-  }
-  return true;
 }
 
 double SkipChainNerModel::CompiledLogScoreDelta(const factor::World& world,

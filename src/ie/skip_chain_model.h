@@ -75,15 +75,6 @@ class SkipChainNerModel final : public factor::FeatureModel {
   double LogScoreDelta(const factor::World& world,
                        const factor::Change& change,
                        factor::ScoreScratch* scratch) const override;
-  /// Whole Gibbs conditional over the label axis as one contiguous pass:
-  /// a node-row gather, a prev-row gather, a next-column gather (via the
-  /// transposed transition table), and a skip-partner scatter — each a
-  /// length-kNumLabels loop the compiler can vectorize. Every lane adds
-  /// the same terms in the same order as CompiledSingleDelta, so rows are
-  /// bitwise-equal to the per-candidate path. Always returns true.
-  bool ConditionalRow(const factor::World& world, factor::VarId var,
-                      double* out,
-                      factor::ScoreScratch* scratch) const override;
   std::unique_ptr<factor::ScoreScratch> MakeScratch() const override;
   double LogScore(const factor::World& world) const override;
   /// Locality for sharded execution: node factors are single-variable,
@@ -169,9 +160,6 @@ class SkipChainNerModel final : public factor::FeatureModel {
   template <typename GetLabel>
   double CompiledSingleDeltaImpl(factor::VarId var, uint32_t new_label,
                                  const GetLabel& get) const;
-  template <typename GetLabel>
-  void ConditionalRowImpl(factor::VarId var, double* out,
-                          const GetLabel& get) const;
 
   double CompiledLogScoreDelta(const factor::World& world,
                                const factor::Change& change,
@@ -191,10 +179,6 @@ class SkipChainNerModel final : public factor::FeatureModel {
   mutable factor::CompiledWeights compiled_;
   const double* node_table_ = nullptr;   // [num_strings × kNumLabels]
   const double* trans_table_ = nullptr;  // [kNumLabels × kNumLabels]
-  // Transposed transitions: entry (yn, v) = Get(TransitionFeature(v, yn)),
-  // bitwise-equal to trans_table_[v*K+yn]. Gives ConditionalRow contiguous
-  // access to the next-edge column that is strided in trans_table_.
-  const double* trans_table_t_ = nullptr;  // [kNumLabels × kNumLabels]
   const double* skip_table_ = nullptr;   // [kNumLabels], both-labels-agree
   mutable TouchedScratch member_scratch_;  // Backs the scratch-less overload.
 };

@@ -1,10 +1,6 @@
 #include "infer/metropolis_hastings.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/logging.h"
-#include "util/math_util.h"
 
 namespace fgpdb {
 namespace infer {
@@ -85,83 +81,9 @@ size_t MetropolisHastings::Step(size_t n) {
     return accepted;
   }
 
-  // Row-driven Gibbs: for a proposal that IS the single-site Gibbs kernel,
-  // fuse propose/score/accept — draw the site, fill the conditional row
-  // once, sample the candidate straight from it, and reuse row[new] as the
-  // acceptance's model ratio (legal by the ConditionalRow contract: each
-  // lane is bitwise the per-candidate LogScoreDelta, which is exactly what
-  // the two-call reference path would recompute). Draw order and FP
-  // arithmetic replicate GibbsProposal::Propose + the generic loop below
-  // term-for-term, so the trajectory is bitwise-identical to running the
-  // same kernel through the generic loop; only the second scoring pass
-  // disappears.
-  if (proposal_->IsSingleSiteGibbs() && model_.num_variables() > 0) {
-    for (size_t i = 0; i < n; ++i) {
-      ++num_proposed_;
-      const factor::VarId var = proposal_->DrawGibbsSite(*world_, rng_);
-      const size_t k = model_.domain_size(var);
-      row_buf_.resize(k);
-      const uint32_t old_value = world_->Get(var);
-      if (!model_.ConditionalRow(*world_, var, row_buf_.data(),
-                                 score_scratch_.get())) {
-        // Per-candidate fill, exactly as GibbsProposal's fallback — the
-        // deltas are deterministic in (world, change), so the row matches
-        // what the reference path computes bitwise.
-        std::fill(row_buf_.begin(), row_buf_.end(), 0.0);
-        for (uint32_t v = 0; v < k; ++v) {
-          if (v == old_value) continue;
-          fused_change_.Clear();
-          fused_change_.Set(var, v);
-          row_buf_[v] = model_.LogScoreDelta(*world_, fused_change_,
-                                             score_scratch_.get());
-        }
-      }
-      // Allocation-free replica of Rng::LogCategorical: same FP ops in the
-      // same order, same single Uniform() draw.
-      const double lse = LogSumExp(row_buf_);
-      prob_buf_.resize(k);
-      for (size_t v = 0; v < k; ++v) {
-        prob_buf_[v] = std::exp(row_buf_[v] - lse);
-      }
-      double total = 0.0;
-      for (const double w : prob_buf_) total += w;
-      FGPDB_CHECK_GT(total, 0.0);
-      const double target = rng_.Uniform() * total;
-      double cum = 0.0;
-      auto new_value = static_cast<uint32_t>(k - 1);
-      for (size_t v = 0; v < k; ++v) {
-        cum += prob_buf_[v];
-        if (target < cum) {
-          new_value = static_cast<uint32_t>(v);
-          break;
-        }
-      }
-      if (new_value == old_value) {
-        // Self-transition: the reference path emits an empty Change, which
-        // the step loop accepts without an acceptance draw.
-        ++num_accepted_;
-        ++accepted;
-        continue;
-      }
-      // GibbsProposal's proposal-ratio correction plus the generic loop's
-      // acceptance, term-for-term. log_alpha is ~0 but not exactly 0 in
-      // FP, so the acceptance draw is consumed exactly when the reference
-      // consumes it.
-      const double log_q_forward = row_buf_[new_value] - lse;
-      const double log_q_backward = row_buf_[old_value] - lse;
-      const double log_proposal_ratio = log_q_backward - log_q_forward;
-      const double log_alpha = row_buf_[new_value] + log_proposal_ratio;
-      if (!MetropolisAccepts(log_alpha, rng_)) continue;
-      world_->Set(var, new_value);
-      if (record) batch_applied_.push_back({var, old_value, new_value});
-      ++num_accepted_;
-      ++accepted;
-      if (batch_applied_.size() >= kMirrorBatchLimit) flush();
-    }
-    flush();
-    return accepted;
-  }
-
+  // Generic: Propose, LogScoreDelta, accept, apply — every other proposal
+  // (single-site Gibbs included), and the reference the relabel loop is
+  // tested against.
   for (size_t i = 0; i < n; ++i) {
     ++num_proposed_;
     double log_proposal_ratio = 0.0;

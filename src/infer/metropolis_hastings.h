@@ -46,7 +46,7 @@ inline bool UniformBelowExp(double u, double log_alpha) {
   return u < std::exp(log_alpha);
 }
 
-/// The MH acceptance test of Eq. 3, shared by every loop of Step(n): a
+/// The MH acceptance test of Eq. 3, shared by both loops of Step(n): a
 /// log_alpha ≥ 0 accepts without a draw; otherwise one Uniform() draw u
 /// accepts iff u < exp(log_alpha).
 inline bool MetropolisAccepts(double log_alpha, Rng& rng) {
@@ -86,23 +86,20 @@ class MetropolisHastings {
   /// what n calls of Step(1) would have shown them, in the same order.
   /// Returns the number of accepted transitions.
   ///
-  /// The proposal's declaration picks one of three loops; every one
-  /// decides acceptance through MetropolisAccepts, and the two fused loops
-  /// replay the generic loop draw-for-draw, so accepted jumps, applied
-  /// streams, counters, final worlds and the next RNG draw are
-  /// bitwise-identical to running the same kernel through it.
+  /// The proposal's declaration picks one of two loops; both decide
+  /// acceptance through MetropolisAccepts, and the relabel loop replays
+  /// the generic loop draw-for-draw, so accepted jumps, applied streams,
+  /// counters, final worlds and the next RNG draw are bitwise-identical to
+  /// running the same kernel through it.
   ///   * Relabel (Proposal::AsUniformRelabel, the §5.1 kernel): draws the
   ///     site and the value inline — no virtual Propose, no Change rebuilt
   ///     per step — and accepts a proposal of the current value (read from
   ///     the label shadow when the world has one) without scoring it: the
   ///     generic loop scores it to +0.0 (Model::LogScoreDelta's no-op
   ///     contract) and accepts without a draw.
-  ///   * Row-driven Gibbs (Proposal::IsSingleSiteGibbs): samples the
-  ///     candidate directly from the model's vectorized ConditionalRow and
-  ///     reuses row[new] as the model ratio — one scoring pass per step
-  ///     instead of Propose's row fill plus a second LogScoreDelta.
   ///   * Generic: Propose, LogScoreDelta, accept, apply — every other
-  ///     proposal, and the reference both fused loops are tested against.
+  ///     proposal (GibbsProposal included), and the reference the relabel
+  ///     loop is tested against.
   size_t Step(size_t n);
 
   /// Runs `n` transitions (Algorithm 2's random walk).
@@ -132,7 +129,7 @@ class MetropolisHastings {
   std::unique_ptr<factor::ScoreScratch> score_scratch_;
 
   /// The proposal's relabel declaration (Proposal::AsUniformRelabel),
-  /// resolved once: null runs the other loops.
+  /// resolved once: null runs the generic loop.
   UniformRelabelProposal* relabel_ = nullptr;
 
   /// Reused proposal buffer: Propose writes into it every step (the
@@ -142,12 +139,6 @@ class MetropolisHastings {
   /// Accepted-jump buffer; flushed to listeners at kMirrorBatchLimit
   /// assignments and at the end of every Step(n).
   std::vector<factor::AppliedAssignment> batch_applied_;
-  /// Fused-kernel buffers: the conditional row, its exponentiated probs
-  /// (the allocation-free Rng::LogCategorical replica), and the Change
-  /// reused by the per-candidate fallback fill.
-  std::vector<double> row_buf_;
-  std::vector<double> prob_buf_;
-  factor::Change fused_change_;
   uint64_t num_proposed_ = 0;
   uint64_t num_accepted_ = 0;
 };

@@ -1,7 +1,5 @@
 #include "infer/proposal.h"
 
-#include <cmath>
-
 #include "util/math_util.h"
 
 namespace fgpdb {
@@ -21,26 +19,22 @@ void GibbsProposal::Propose(const factor::World& world, Rng& rng,
   *log_ratio = 0.0;
   change->Clear();
   if (model_.num_variables() == 0) return;
-  const factor::VarId var = DrawGibbsSite(world, rng);
+  const auto var =
+      static_cast<factor::VarId>(rng.UniformInt(model_.num_variables()));
   const size_t k = model_.domain_size(var);
   const uint32_t old_value = world.Get(var);
 
   // Conditional log-weights: delta of moving var to each candidate value
-  // (the current value has delta 0 by definition). The vectorized
-  // ConditionalRow computes the whole row in one call when the model
-  // supports it; the per-candidate loop is the scalar reference path.
+  // (the current value has delta 0 by definition).
   std::vector<double>& log_weights = log_weights_;
-  log_weights.resize(k);
-  if (!model_.ConditionalRow(world, var, log_weights.data(), scratch_.get())) {
-    std::fill(log_weights.begin(), log_weights.end(), 0.0);
-    for (uint32_t v = 0; v < k; ++v) {
-      if (v == old_value) continue;
-      candidate_.Clear();
-      candidate_.Set(var, v);
-      log_weights[v] = model_.LogScoreDelta(world, candidate_, scratch_.get());
-    }
+  log_weights.assign(k, 0.0);
+  for (uint32_t v = 0; v < k; ++v) {
+    if (v == old_value) continue;
+    candidate_.Clear();
+    candidate_.Set(var, v);
+    log_weights[v] = model_.LogScoreDelta(world, candidate_, scratch_.get());
   }
-  const uint32_t new_value = static_cast<uint32_t>(rng.LogCategorical(log_weights));
+  const auto new_value = static_cast<uint32_t>(rng.LogCategorical(log_weights));
 
   // q(w'|w) = p(new | rest), q(w|w') = p(old | rest); the correction
   // cancels the model ratio so acceptance is exactly 1.

@@ -11,12 +11,12 @@
 // in member storage — propose does zero hashing/allocation, exactly like
 // the compiled scoring path it feeds.
 //
-// Two kernels can declare themselves so MetropolisHastings::Step(n) runs a
-// fused loop for them: single-site Gibbs (IsSingleSiteGibbs) and the §5.1
-// uniform relabel (AsUniformRelabel, a UniformRelabelProposal). A fused
-// loop makes the declared kernel's draws itself and must leave every draw,
-// applied assignment and world bitwise as the generic loop would; the
-// tests hold each one to a forwarding wrapper that does not declare.
+// One kernel can declare itself so MetropolisHastings::Step(n) runs a
+// fused loop for it: the §5.1 uniform relabel (AsUniformRelabel, a
+// UniformRelabelProposal). That loop makes the kernel's draws itself and
+// must leave every draw, applied assignment and world bitwise as the
+// generic loop would; the tests hold it to a forwarding wrapper that does
+// not declare. Every other proposal runs through the generic loop.
 #ifndef FGPDB_INFER_PROPOSAL_H_
 #define FGPDB_INFER_PROPOSAL_H_
 
@@ -49,25 +49,6 @@ class Proposal {
     factor::Change change;
     Propose(world, rng, &change, log_ratio);
     return change;
-  }
-
-  /// True when this proposal is EXACTLY the single-site Gibbs kernel:
-  /// Propose() draws a site via DrawGibbsSite, then resamples it from its
-  /// full conditional (one LogCategorical draw), with the proposal-ratio
-  /// correction that makes MH acceptance ≈ 1. Declaring this makes
-  /// MetropolisHastings::Step(n) fuse propose/score/accept into its
-  /// row-driven loop, which replicates the declared draw order and
-  /// floating-point arithmetic bitwise; an undeclared Gibbs kernel runs
-  /// through the generic loop (the two-call path the tests compare it to).
-  virtual bool IsSingleSiteGibbs() const { return false; }
-
-  /// The Gibbs kernel's site-selection draw, i.e. the first draw Propose()
-  /// makes. The fused kernel calls it directly in place of Propose().
-  virtual factor::VarId DrawGibbsSite(const factor::World& world, Rng& rng) {
-    (void)world;
-    (void)rng;
-    FGPDB_CHECK(false) << "not a single-site Gibbs proposal";
-    return 0;
   }
 
   /// Non-null when this proposal IS the uniform-relabel kernel of paper
@@ -154,11 +135,9 @@ class UniformSingleVariableProposal final : public Proposal {
 /// variable from its full conditional. The proposal-ratio correction makes
 /// the MH acceptance probability exactly 1, so the chain never rejects.
 ///
-/// The conditional over the label axis is computed through the model's
-/// ConditionalRow fast path when available (one vectorized reduction over
-/// the compiled weight tables); models without one fall back to one
-/// LogScoreDelta per candidate value. Both paths produce bitwise-identical
-/// weight rows, so the chain trajectory does not depend on which ran.
+/// The conditional is one LogScoreDelta per candidate value, with the
+/// current value's lane a hard +0.0 (the score of staying put). It runs
+/// through Step(n)'s generic loop, which rescores the drawn candidate.
 class GibbsProposal final : public Proposal {
  public:
   explicit GibbsProposal(const factor::Model& model)
@@ -167,12 +146,6 @@ class GibbsProposal final : public Proposal {
   using Proposal::Propose;
   void Propose(const factor::World& world, Rng& rng, factor::Change* change,
                double* log_ratio) override;
-
-  bool IsSingleSiteGibbs() const override { return true; }
-  factor::VarId DrawGibbsSite(const factor::World& /*world*/,
-                              Rng& rng) override {
-    return static_cast<factor::VarId>(rng.UniformInt(model_.num_variables()));
-  }
 
  private:
   const factor::Model& model_;

@@ -26,11 +26,11 @@ struct ChainResult {
 // lives and dies inside this call, so a pool running T worker threads holds
 // at most T worlds at a time no matter how many chains are requested.
 //
-// Materialized chains each compile their own views, which matters for the
-// routed delta pipeline: the subscription maps, routing masks, reusable
-// operator buffers, and the TupleArena are per-view state owned by exactly
-// one chain — nothing in the delta path is shared across threads, so chains
-// apply deltas without synchronization.
+// Every chain maintains its views by delta (Alg. 1) and compiles its own,
+// which matters for the routed delta pipeline: the subscription maps,
+// routing masks, reusable operator buffers, and the TupleArena are per-view
+// state owned by exactly one chain — nothing in the delta path is shared
+// across threads, so chains apply deltas without synchronization.
 ChainResult RunChain(const ProbabilisticDatabase& pdb,
                      const std::vector<const ra::PlanNode*>& plans,
                      const ShardPlan& shard_plan,
@@ -47,7 +47,7 @@ ChainResult RunChain(const ProbabilisticDatabase& pdb,
   // chains — the outer pool already owns the cores, and the merge is
   // order-fixed so threading never changes the answer anyway.
   SharedChainEvaluator evaluator(
-      world.get(), shard_plan, chain_options, options.materialized,
+      world.get(), shard_plan, chain_options, /*materialized=*/true,
       /*max_threads=*/options.num_chains == 1 ? options.max_threads : 1);
   for (const ra::PlanNode* plan : plans) evaluator.AddQuery(plan);
   evaluator.RunQuantum(options.samples_per_chain);

@@ -2,8 +2,8 @@
 //
 // Runs B independent chains, each over its own copy-on-write snapshot of
 // the world and each built from the same ShardPlan (the one-shard
-// SerialPlan for one Metropolis–Hastings walk per chain), and averages
-// their marginal counts.
+// SerialPlan for one Metropolis–Hastings walk per chain) and maintaining
+// its views by delta (Alg. 1), and averages their marginal counts.
 // Cross-chain samples are far more independent than within-chain samples,
 // which is why the paper observes super-linear error reduction in the
 // number of chains.
@@ -36,8 +36,6 @@ struct ParallelOptions {
   size_t num_chains = 4;
   uint64_t samples_per_chain = 100;
   EvaluatorOptions chain_options;
-  /// Evaluate with view maintenance (Alg. 1) or the naive path (Alg. 3).
-  bool materialized = true;
   /// Worker threads. 0 = min(num_chains, hardware concurrency); never more
   /// threads than chains; 1 runs the chains one at a time on the calling
   /// thread. With one chain the cap goes to its shard stepping instead.

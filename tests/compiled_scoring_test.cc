@@ -3,7 +3,7 @@
 // reference (oracles/reference_skip_chain_model.h) computes, tables refresh
 // lazily when the parameter version moves, and the scratch-reuse protocol
 // changes no results. Also the step kernel's parity references:
-// ReferenceStep for Step(n), TwoCallGibbs for the fused Gibbs loop,
+// ReferenceStep for Step(n) (the §5.1 kernel and Gibbs alike),
 // GenericRelabel for the fused relabel loop, and per-step mirroring
 // (oracles/mirrored_sampler.h) for the shared chain on Queries 1–4.
 #include <gtest/gtest.h>
@@ -101,25 +101,6 @@ bool ReferenceStep(const factor::Model& model, factor::World* world,
   }
   return true;
 }
-
-// Forwards to GibbsProposal without declaring itself single-site Gibbs, so
-// MetropolisHastings runs it through the generic loop: Propose fills the
-// conditional row and draws, then the acceptance test rescores the drawn
-// candidate with a second LogScoreDelta. The two-call reference the fused
-// row kernel must replay.
-class TwoCallGibbs final : public infer::Proposal {
- public:
-  explicit TwoCallGibbs(const factor::Model& model) : gibbs_(model) {}
-
-  using Proposal::Propose;
-  void Propose(const factor::World& world, Rng& rng, factor::Change* change,
-               double* log_ratio) override {
-    gibbs_.Propose(world, rng, change, log_ratio);
-  }
-
- private:
-  infer::GibbsProposal gibbs_;
-};
 
 // Forwards to a §5.1 relabel proposal without declaring the kernel
 // (AsUniformRelabel stays null), so MetropolisHastings runs it through the
@@ -319,80 +300,6 @@ TEST(CompiledScoringTest, EntityResolutionDeltaMatchesGlobalDifference) {
   }
 }
 
-// The vectorized Gibbs-conditional fast path: ConditionalRow must fill
-// every candidate lane with the exact bits the per-candidate single-flip
-// delta computes, across ≥1k randomized sites, and the no-move lane must
-// be a clean zero (out[old] == +0.0, the candidate path's hard zero).
-TEST(CompiledScoringTest, ConditionalRowMatchesPerCandidateBitwise) {
-  CompiledVsNaive fixture(1200, 83);
-  Rng rng(909);
-  auto scratch = fixture.compiled->MakeScratch();
-  double row[kNumLabels];
-  // The uncompiled reference offers no fast path: callers must fall back to
-  // per-candidate scoring.
-  EXPECT_FALSE(fixture.naive->ConditionalRow(fixture.world, 0, row, nullptr));
-
-  size_t sites = 0;
-  for (int round = 0; round < 2; ++round) {
-    fixture.ShuffleWorld(rng);
-    for (size_t v = 0; v < fixture.tokens.num_tokens(); ++v) {
-      const auto var = static_cast<factor::VarId>(v);
-      ASSERT_TRUE(fixture.compiled->ConditionalRow(fixture.world, var, row,
-                                                   scratch.get()));
-      const uint32_t old_label = fixture.world.Get(var);
-      ASSERT_EQ(row[old_label], 0.0) << "site " << v;
-      ASSERT_FALSE(std::signbit(row[old_label])) << "site " << v;
-      factor::Change change;
-      for (uint32_t y = 0; y < kNumLabels; ++y) {
-        if (y == old_label) continue;
-        change.Clear();
-        change.Set(var, y);
-        // Bitwise against both the compiled per-candidate path (the lane's
-        // summation-order contract) and the uncompiled reference.
-        ASSERT_EQ(row[y], fixture.compiled->LogScoreDelta(fixture.world,
-                                                          change))
-            << "site " << v << " label " << y;
-        ASSERT_EQ(row[y], fixture.naive->LogScoreDelta(fixture.world, change))
-            << "site " << v << " label " << y;
-      }
-      ++sites;
-    }
-  }
-  EXPECT_GE(sites, 1000u);
-}
-
-// Same contract for the entity-resolution model's scatter-based rows.
-TEST(CompiledScoringTest, EntityResolutionConditionalRowMatchesPerCandidate) {
-  const std::vector<std::string> mentions = {
-      "John Smith", "J. Smith",  "Smith",     "Acme Corp", "ACME",
-      "Acme Inc",   "Boston",    "Boston MA", "J Smith",   "Acme"};
-  EntityResolutionModel model(mentions);
-  const size_t n = mentions.size();
-  factor::World world(n);
-  Rng rng(4242);
-  std::vector<double> row(n);
-  factor::Change change;
-  for (int round = 0; round < 150; ++round) {
-    for (size_t v = 0; v < n; ++v) {
-      world.Set(static_cast<factor::VarId>(v),
-                static_cast<uint32_t>(rng.UniformInt(n)));
-    }
-    for (size_t v = 0; v < n; ++v) {
-      const auto var = static_cast<factor::VarId>(v);
-      ASSERT_TRUE(model.ConditionalRow(world, var, row.data(), nullptr));
-      const uint32_t cur = world.Get(var);
-      ASSERT_EQ(row[cur], 0.0);
-      for (uint32_t c = 0; c < n; ++c) {
-        if (c == cur) continue;
-        change.Clear();
-        change.Set(var, c);
-        ASSERT_EQ(row[c], model.LogScoreDelta(world, change))
-            << "round " << round << " var " << v << " cluster " << c;
-      }
-    }
-  }
-}
-
 // The step kernel's seed-schedule contract: Step(n) must land on the same
 // world as n calls of Step() and as n ReferenceSteps at the same seed,
 // accept the same count, and show listeners the same applied stream in the
@@ -435,13 +342,13 @@ TEST(CompiledScoringTest, BatchedStepMatchesSingleStepsBitwise) {
                  reference.stream);
 }
 
-// The row-driven Gibbs kernel: with a single-site Gibbs proposal, Step(n)'s
-// fused loop — candidate sampled straight from ConditionalRow, row[new]
-// reused as the acceptance's model ratio — must replay the two-call path
-// (TwoCallGibbs through the generic loop) and ReferenceStep exactly: same
-// accepted count, same applied stream, same final world, bitwise. Runs on a
-// shuffled, shadow-carrying world so the narrow label lane is exercised end
-// to end and both loops cross their mid-batch flush.
+// Single-site Gibbs through Step(n)'s generic loop: GibbsProposal fills its
+// conditional row one LogScoreDelta per candidate, and Step(20000) must
+// replay ReferenceStep exactly — same accepted count, applied stream and
+// final world, bitwise — on a shuffled world with the label shadow and on
+// a copy without it, crossing the mid-batch flush. The uncompiled reference
+// model scores every candidate to the same bits as the compiled one, so a
+// Gibbs chain over it walks the same trajectory.
 TEST(CompiledScoringTest, RowGibbsMatchesReferenceBitwise) {
   CompiledVsNaive fixture(8000, 47);
   fixture.world = fixture.tokens.pdb->world();  // Carries the label shadow.
@@ -451,45 +358,176 @@ TEST(CompiledScoringTest, RowGibbsMatchesReferenceBitwise) {
   const size_t kSteps = 20000;
   const uint64_t kSeed = 777;
   const SkipChainNerModel& model = *fixture.compiled;
+  const testing::ReferenceSkipChainModel& naive = *fixture.naive;
 
-  RecordingChain<infer::GibbsProposal> fused(model, fixture.world, kSeed,
-                                             model);
-  RecordingChain<TwoCallGibbs> two_call(model, fixture.world, kSeed, model);
+  factor::World plain = fixture.world;
+  plain.DisableLabelShadow();
+  for (const factor::World* start : {&fixture.world, &plain}) {
+    RecordingChain<infer::GibbsProposal> chain(model, *start, kSeed, model);
+    RecordingChain<infer::GibbsProposal> naive_chain(naive, *start, kSeed,
+                                                     naive);
+    // Walked by ReferenceStep; its sampler stays idle.
+    RecordingChain<infer::GibbsProposal> reference(model, *start, kSeed,
+                                                   model);
+    Rng reference_rng(kSeed);
+
+    const size_t accepted = chain.sampler.Step(kSteps);
+    size_t accepted_reference = 0;
+    for (size_t i = 0; i < kSteps; ++i) {
+      if (ReferenceStep(model, &reference.world, &reference.proposal,
+                        &reference_rng, &reference.stream)) {
+        ++accepted_reference;
+      }
+    }
+
+    EXPECT_EQ(accepted, accepted_reference);
+    EXPECT_EQ(naive_chain.sampler.Step(kSteps), accepted);
+    EXPECT_GT(chain.stream.size(),
+              infer::MetropolisHastings::kMirrorBatchLimit);
+    ExpectSameWalk(chain.world, chain.stream, reference.world,
+                   reference.stream);
+    ExpectSameWalk(chain.world, chain.stream, naive_chain.world,
+                   naive_chain.stream);
+    EXPECT_EQ(chain.world.has_label_shadow(), start->has_label_shadow());
+    EXPECT_TRUE(chain.world.LabelShadowConsistent());
+    EXPECT_TRUE(reference.world.LabelShadowConsistent());
+  }
+}
+
+// The generic loop's seed-schedule contract under single-site Gibbs:
+// Step(n) must land where n calls of Step() land — same accepted count,
+// counters, applied stream and final world — across the mid-batch flush,
+// and both accept every step (acceptance is exactly 1 for Gibbs).
+TEST(CompiledScoringTest, GibbsBatchedStepMatchesSingleStepsBitwise) {
+  CompiledVsNaive fixture(6000, 61);
+  fixture.world = fixture.tokens.pdb->world();  // Carries the label shadow.
+  ASSERT_TRUE(fixture.world.has_label_shadow());
+  Rng shuffle(19);
+  fixture.ShuffleWorld(shuffle);
+  const size_t kSteps = 12000;
+  const uint64_t kSeed = 4242;
+  const SkipChainNerModel& model = *fixture.compiled;
+
+  using Chain = RecordingChain<infer::GibbsProposal>;
+  Chain batched(model, fixture.world, kSeed, model);
+  Chain single(model, fixture.world, kSeed, model);
+  const size_t accepted_batched = batched.sampler.Step(kSteps);
+  size_t accepted_single = 0;
+  for (size_t i = 0; i < kSteps; ++i) {
+    if (single.sampler.Step()) ++accepted_single;
+  }
+
+  EXPECT_EQ(accepted_batched, kSteps);
+  EXPECT_EQ(accepted_single, kSteps);
+  EXPECT_EQ(batched.sampler.num_proposed(), single.sampler.num_proposed());
+  EXPECT_EQ(batched.sampler.num_accepted(), single.sampler.num_accepted());
+  EXPECT_GT(batched.stream.size(),
+            infer::MetropolisHastings::kMirrorBatchLimit);
+  ExpectSameWalk(batched.world, batched.stream, single.world, single.stream);
+  EXPECT_TRUE(batched.world.LabelShadowConsistent());
+}
+
+// Gibbs over the entity-resolution model, where a mention's candidates are
+// every cluster id: Step(n) through the generic loop must replay n
+// ReferenceSteps and n calls of Step() bitwise, accept every step, and
+// cross the mid-batch flush.
+TEST(CompiledScoringTest, EntityResolutionGibbsMatchesReferenceBitwise) {
+  const std::vector<std::string> mentions = {
+      "John Smith", "J. Smith",  "Smith",     "Acme Corp", "ACME",
+      "Acme Inc",   "Boston",    "Boston MA", "J Smith",   "Acme"};
+  EntityResolutionModel model(mentions);
+  factor::World start(mentions.size());
+  Rng shuffle(31);
+  for (size_t v = 0; v < start.size(); ++v) {
+    start.Set(static_cast<factor::VarId>(v),
+              static_cast<uint32_t>(shuffle.UniformInt(mentions.size())));
+  }
+  const size_t kSteps = 10000;
+  const uint64_t kSeed = 99;
+
+  using Chain = RecordingChain<infer::GibbsProposal>;
+  Chain batched(model, start, kSeed, model);
+  Chain single(model, start, kSeed, model);
   // Walked by ReferenceStep; its sampler stays idle.
-  RecordingChain<infer::GibbsProposal> reference(model, fixture.world, kSeed,
-                                                 model);
+  Chain reference(model, start, kSeed, model);
   Rng reference_rng(kSeed);
 
-  const size_t accepted_fused = fused.sampler.Step(kSteps);
-  const size_t accepted_two_call = two_call.sampler.Step(kSteps);
+  const size_t accepted_batched = batched.sampler.Step(kSteps);
+  size_t accepted_single = 0;
   size_t accepted_reference = 0;
   for (size_t i = 0; i < kSteps; ++i) {
+    if (single.sampler.Step()) ++accepted_single;
     if (ReferenceStep(model, &reference.world, &reference.proposal,
                       &reference_rng, &reference.stream)) {
       ++accepted_reference;
     }
   }
 
-  EXPECT_EQ(accepted_fused, accepted_two_call);
-  EXPECT_EQ(accepted_fused, accepted_reference);
-  EXPECT_GT(fused.stream.size(), infer::MetropolisHastings::kMirrorBatchLimit);
-  ExpectSameWalk(fused.world, fused.stream, two_call.world, two_call.stream);
-  ExpectSameWalk(fused.world, fused.stream, reference.world,
+  EXPECT_EQ(accepted_batched, kSteps);
+  EXPECT_EQ(accepted_single, kSteps);
+  EXPECT_EQ(accepted_reference, kSteps);
+  EXPECT_GT(batched.stream.size(),
+            infer::MetropolisHastings::kMirrorBatchLimit);
+  ExpectSameWalk(batched.world, batched.stream, single.world, single.stream);
+  ExpectSameWalk(batched.world, batched.stream, reference.world,
                  reference.stream);
-  EXPECT_TRUE(fused.world.LabelShadowConsistent());
-  EXPECT_TRUE(two_call.world.LabelShadowConsistent());
+}
 
-  // The fallback (non-compiled) row fill must fuse identically too: the
-  // reference has no ConditionalRow, so the fused kernel's per-candidate
-  // fill is exercised against the two-call path.
-  const testing::ReferenceSkipChainModel& naive = *fixture.naive;
-  RecordingChain<infer::GibbsProposal> naive_fused(naive, fixture.world,
-                                                   kSeed, naive);
-  RecordingChain<TwoCallGibbs> naive_two_call(naive, fixture.world, kSeed,
-                                              naive);
-  EXPECT_EQ(naive_fused.sampler.Step(1000), naive_two_call.sampler.Step(1000));
-  ExpectSameWalk(naive_fused.world, naive_fused.stream, naive_two_call.world,
-                 naive_two_call.stream);
+// Why Gibbs needs no loop of its own: the proposal ratio GibbsProposal
+// reports cancels the model ratio the generic loop rescores for the drawn
+// candidate, so log α is 0 up to rounding; a draw of the current value is
+// an empty change with a ratio of exactly 0. Checked at ≥1k random sites
+// on the compiled skip-chain model, its uncompiled reference, and the
+// entity-resolution model.
+TEST(CompiledScoringTest, GibbsProposalRatioCancelsModelRatio) {
+  size_t moves = 0;
+  size_t stays = 0;
+  auto check_site = [&](const factor::Model& model, const factor::World& world,
+                        infer::GibbsProposal* proposal, Rng* rng) {
+    double log_ratio = 1.0;
+    const factor::Change change = proposal->Propose(world, *rng, &log_ratio);
+    if (change.empty()) {
+      ASSERT_EQ(log_ratio, 0.0);
+      ++stays;
+      return;
+    }
+    ASSERT_EQ(change.assignments.size(), 1u);
+    const factor::Assignment& move = change.assignments[0];
+    ASSERT_NE(move.value, world.Get(move.var));
+    ASSERT_NEAR(model.LogScoreDelta(world, change) + log_ratio, 0.0, 1e-9);
+    ++moves;
+  };
+
+  CompiledVsNaive fixture(1200, 83);
+  Rng rng(909);
+  infer::GibbsProposal compiled_gibbs(*fixture.compiled);
+  infer::GibbsProposal naive_gibbs(*fixture.naive);
+  for (int round = 0; round < 2; ++round) {
+    fixture.ShuffleWorld(rng);
+    for (int site = 0; site < 500; ++site) {
+      check_site(*fixture.compiled, fixture.world, &compiled_gibbs, &rng);
+      check_site(*fixture.naive, fixture.world, &naive_gibbs, &rng);
+    }
+  }
+
+  const std::vector<std::string> mentions = {
+      "John Smith", "J. Smith",  "Smith",     "Acme Corp", "ACME",
+      "Acme Inc",   "Boston",    "Boston MA", "J Smith",   "Acme"};
+  EntityResolutionModel er_model(mentions);
+  infer::GibbsProposal er_gibbs(er_model);
+  factor::World er_world(mentions.size());
+  for (int round = 0; round < 100; ++round) {
+    for (size_t v = 0; v < er_world.size(); ++v) {
+      er_world.Set(static_cast<factor::VarId>(v),
+                   static_cast<uint32_t>(rng.UniformInt(mentions.size())));
+    }
+    for (int site = 0; site < 10; ++site) {
+      check_site(er_model, er_world, &er_gibbs, &rng);
+    }
+  }
+  EXPECT_GE(moves + stays, 3000u);
+  EXPECT_GT(moves, 1000u);
+  EXPECT_GT(stays, 0u);
 }
 
 // The relabel loop: with the §5.1 kernel declared (DocumentBatchProposal),

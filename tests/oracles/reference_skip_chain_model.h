@@ -13,9 +13,9 @@
 // sums in. The two therefore agree bitwise, not merely within rounding.
 //
 // Transitions are scored for every sequence neighbor: the reference mirrors
-// a model built with the default use_transitions = true. It has no
-// ConditionalRow fast path, so a Gibbs chain over it fills each row
-// candidate by candidate.
+// a model built with the default use_transitions = true. A Gibbs chain over
+// it fills each conditional row candidate by candidate, as it does over the
+// compiled model, so the two walk the same trajectory.
 #ifndef FGPDB_TESTS_ORACLES_REFERENCE_SKIP_CHAIN_MODEL_H_
 #define FGPDB_TESTS_ORACLES_REFERENCE_SKIP_CHAIN_MODEL_H_
 

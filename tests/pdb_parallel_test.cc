@@ -155,19 +155,33 @@ TEST(ParallelEvaluatorTest, MoreChainsReduceError) {
   EXPECT_LT(err8, err1);
 }
 
-TEST(ParallelEvaluatorTest, NaivePathProducesSameAnswersAsMaterialized) {
+TEST(ParallelEvaluatorTest, MultiPlanAnswersMatchSinglePlanCalls) {
+  // Every chain maintains all the plans' views by delta on its one walk,
+  // and the walk never depends on which views ride it: each plan's merged
+  // answer must equal a single-plan call with the same options, bitwise.
   ParallelFixture fixture;
-  ra::PlanPtr plan = sql::PlanQuery(ie::kQuery2, fixture.tokens.pdb->db());
+  std::vector<ra::PlanPtr> plans;
+  std::vector<const ra::PlanNode*> plan_ptrs;
+  for (const char* query :
+       {ie::kQuery1, ie::kQuery2, ie::kQuery3, ie::kQuery4}) {
+    plans.push_back(sql::PlanQuery(query, fixture.tokens.pdb->db()));
+    plan_ptrs.push_back(plans.back().get());
+  }
   ParallelOptions options;
-  options.num_chains = 2;
-  options.samples_per_chain = 6;
-  options.chain_options = {.steps_per_sample = 100, .burn_in = 100, .seed = 3};
-  options.max_threads = 1;
-  options.materialized = true;
-  const QueryAnswer mat = fixture.Evaluate(*plan, options);
-  options.materialized = false;
-  const QueryAnswer naive = fixture.Evaluate(*plan, options);
-  EXPECT_EQ(mat.SquaredError(naive), 0.0);
+  options.num_chains = 3;
+  options.samples_per_chain = 8;
+  options.chain_options = {.steps_per_sample = 150, .burn_in = 200, .seed = 13};
+  const MultiQueryAnswer multi =
+      EvaluateParallelMulti(*fixture.tokens.pdb, plan_ptrs,
+                            SerialPlan(fixture.MakeFactory()), options);
+  ASSERT_EQ(multi.answers.size(), plans.size());
+  for (size_t q = 0; q < plans.size(); ++q) {
+    const QueryAnswer single = fixture.Evaluate(*plans[q], options);
+    EXPECT_EQ(multi.answers[q].num_samples(), 24u) << "plan " << q;
+    EXPECT_EQ(multi.answers[q].num_samples(), single.num_samples())
+        << "plan " << q;
+    EXPECT_EQ(multi.answers[q].Sorted(), single.Sorted()) << "plan " << q;
+  }
 }
 
 }  // namespace

@@ -149,22 +149,5 @@ TEST(SessionSharedChainTest, MidRunRegistrationMatchesLateStartedChain) {
                      ie::kQuery3);
 }
 
-TEST(SessionSharedChainTest, SharedChainRoutesOnlySubscribedSubtrees) {
-  // The session-level union subscription map covers every registered view's
-  // scans; per-view routing still skips queries untouched by a round.
-  NerFixture fixture(300);
-  auto session = api::Session::Open({.database = fixture.tokens.pdb.get(),
-                                     .proposal_factory = fixture.MakeFactory(),
-                                     .evaluator = {.steps_per_sample = 100,
-                                                   .seed = 5}});
-  session->Register(ie::kQuery1);
-  session->Register(ie::kQuery4);
-  session->Run(5);
-  const auto& subs = session->subscriptions();
-  ASSERT_EQ(subs.size(), 1u);
-  // Query 1 scans TOKEN once, Query 4 twice (self-join).
-  EXPECT_EQ(subs.at(ie::kTokenTable), 3u);
-}
-
 }  // namespace
 }  // namespace fgpdb
