@@ -7,12 +7,16 @@
 // from its own output.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <utility>
 
 #include "bench_common.h"
+#include "ie/shard_plan.h"
 #include "infer/metropolis_hastings.h"
+#include "infer/shard_runner.h"
 
 using namespace fgpdb;
 using namespace fgpdb::bench;
@@ -41,6 +45,9 @@ enum SeedStream : uint64_t {
   kStreamBatchedSampler,
   kStreamSweepCorpus,
   kStreamSweepSampler,
+  kStreamShardCorpus,
+  kStreamShardBurnIn,
+  kStreamShardSampler,
 };
 
 // Mirrors every listener flush of `sampler` into `pdb`'s tables and delta
@@ -234,6 +241,72 @@ void BM_GibbsStep(benchmark::State& state) {
   bench.tokens.pdb->DiscardDeltas();
 }
 
+// ns per step of BM_ShardRunnerStep's one-thread arm, by corpus size, for
+// the four-thread arm's speedup counter.
+std::map<size_t, double> g_shard_one_thread_ns;
+
+void BM_ShardRunnerStep(benchmark::State& state) {
+  // Four shard chains stepping one burned-in world: ShardRunner::Step(n)
+  // over a 4-shard document plan, one proposal per token per call, the
+  // merged stream counted and dropped. The proposals are built back to back
+  // and handed to the runner as SharedChainEvaluator does, so the chains'
+  // heap state sits side by side as in the engine. range(1) is max_threads:
+  // 1 steps the shards one after another, 4 steps them on four threads.
+  // `ns_per_step` is wall time per proposal (all shards), `thread_ns_per_step`
+  // the same times the thread count (one proposal's cost on one thread),
+  // and `speedup` (four-thread arm, after the one-thread arm of the same
+  // size ran) is the one-thread ns_per_step over this arm's.
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t threads = static_cast<size_t>(state.range(1));
+  constexpr size_t kShards = 4;
+  NerBench bench(n, DeriveSeed(g_master, kStreamShardCorpus));
+  bench.BurnIn(DefaultBurnIn(n), DeriveSeed(g_master, kStreamShardBurnIn));
+  const pdb::ShardPlan plan =
+      ie::BuildDocumentShardPlan(bench.tokens, *bench.model,
+                                 {.num_shards = kShards});
+  FGPDB_CHECK_EQ(plan.num_shards, kShards);
+  std::vector<std::unique_ptr<infer::Proposal>> proposals;
+  proposals.reserve(plan.num_shards);
+  for (size_t s = 0; s < plan.num_shards; ++s) {
+    proposals.push_back(plan.make_proposal(*bench.tokens.pdb, s));
+  }
+  infer::ShardRunner runner(
+      *bench.model, &bench.tokens.pdb->world(), std::move(proposals),
+      plan.partition,
+      {.seed = DeriveSeed(g_master, kStreamShardSampler),
+       .max_threads = threads});
+  size_t applied = 0;
+  const infer::ShardRunner::Sink sink =
+      [&applied](const std::vector<factor::AppliedAssignment>& a) {
+        applied += a.size();
+      };
+  runner.Step(n, sink);  // Warm the batches and the pool.
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    runner.Step(n, sink);
+  }
+  const double elapsed_ns = std::chrono::duration<double, std::nano>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  benchmark::DoNotOptimize(applied);
+  const double ns_per_step =
+      elapsed_ns / (static_cast<double>(state.iterations()) *
+                    static_cast<double>(n));
+  state.counters["ns_per_step"] = ns_per_step;
+  state.counters["thread_ns_per_step"] =
+      ns_per_step * static_cast<double>(threads);
+  if (threads == 1) {
+    g_shard_one_thread_ns[n] = ns_per_step;
+  } else if (const auto it = g_shard_one_thread_ns.find(n);
+             it != g_shard_one_thread_ns.end()) {
+    state.counters["speedup"] = it->second / ns_per_step;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+  state.SetLabel(std::to_string(n) + " tuples, " + std::to_string(kShards) +
+                 " shards, " + std::to_string(threads) + " thread(s)");
+}
+
 }  // namespace
 
 BENCHMARK(BM_MhStep)->Arg(10000)->Arg(50000)->Arg(200000)
@@ -252,6 +325,8 @@ BENCHMARK(BM_MhStepWorkingSet)
     ->Arg(10000)->Arg(50000)->Arg(200000)->Arg(500000)->Arg(1000000)
     ->Arg(2000000)
     ->Unit(benchmark::kNanosecond);
+BENCHMARK(BM_ShardRunnerStep)->Args({200000, 1})->Args({200000, 4})
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   g_master = InitBenchSeed(&argc, argv, "micro_mh_step");

@@ -80,16 +80,57 @@ std::vector<view::DeltaSet> MakeDeltaSequence(NerBench& bench, size_t rounds,
   return out;
 }
 
+// A consistent sequence of delta rounds that no chain supplies: each round
+// relabels `flips` distinct rows, each to a uniformly drawn other label,
+// through World::Set and MirrorApplied, so it carries exactly 2·flips delta
+// tuples (one Δ− and one Δ+ row per change).
+std::vector<view::DeltaSet> MakeRelabelSequence(NerBench& bench,
+                                                size_t rounds, size_t flips,
+                                                uint64_t seed) {
+  factor::World& world = bench.tokens.pdb->world();
+  FGPDB_CHECK_LE(flips, world.size());
+  std::vector<factor::VarId> rows(world.size());
+  for (size_t v = 0; v < rows.size(); ++v) {
+    rows[v] = static_cast<factor::VarId>(v);
+  }
+  Rng rng(seed);
+  std::vector<factor::AppliedAssignment> applied;
+  std::vector<view::DeltaSet> out;
+  out.reserve(rounds);
+  bench.tokens.pdb->DiscardDeltas();
+  for (size_t r = 0; r < rounds; ++r) {
+    applied.clear();
+    for (size_t f = 0; f < flips; ++f) {
+      // Partial Fisher–Yates: rows[0, flips) end up distinct.
+      std::swap(rows[f], rows[f + rng.UniformInt(rows.size() - f)]);
+      const factor::VarId var = rows[f];
+      const uint32_t old_label = world.Get(var);
+      const auto new_label = static_cast<uint32_t>(
+          (old_label + 1 + rng.UniformInt(ie::kNumLabels - 1)) %
+          ie::kNumLabels);
+      world.Set(var, new_label);
+      applied.push_back({var, old_label, new_label});
+    }
+    bench.tokens.pdb->MirrorApplied(applied);
+    out.push_back(bench.tokens.pdb->TakeDeltas());
+  }
+  return out;
+}
+
 // Each benchmark below is pinned to exactly `rounds` iterations (deltas
 // replay consistently only once, in order, from the initial world).
 constexpr size_t kDeltaRounds = 1000;
 
-// The world is burned in first, so the rounds come from the chain's
+using DeltaSequenceFn = std::vector<view::DeltaSet> (*)(NerBench&, size_t,
+                                                        size_t, uint64_t);
+
+// The world is burned in first, so the rounds start from the chain's
 // stationary phase (where an engine's views spend their life), not its
-// transient away from all-'O'. `delta_tuples` is the mean |Δ−| + |Δ+| per
-// round.
+// transient away from all-'O'; `make_deltas` draws them (by default from
+// the chain). `delta_tuples` is the mean |Δ−| + |Δ+| per round.
 void ApplyDeltaBench(benchmark::State& state, const char* query,
-                     size_t rounds, size_t flips) {
+                     size_t rounds, size_t flips,
+                     DeltaSequenceFn make_deltas = MakeDeltaSequence) {
   const size_t n = static_cast<size_t>(state.range(0));
   NerBench bench(n, DeriveSeed(g_master, 1));
   bench.BurnIn(DefaultBurnIn(n), DeriveSeed(g_master, 9));
@@ -98,7 +139,7 @@ void ApplyDeltaBench(benchmark::State& state, const char* query,
   view.Initialize(bench.tokens.pdb->db());
   // A few spare rounds in case the framework runs warm-up iterations.
   const auto deltas =
-      MakeDeltaSequence(bench, rounds + 64, flips, DeriveSeed(g_master, 2));
+      make_deltas(bench, rounds + 64, flips, DeriveSeed(g_master, 2));
   size_t i = 0;
   int64_t delta_tuples = 0;
   for (auto _ : state) {
@@ -124,18 +165,17 @@ void BM_ViewApplyDeltaAggregate(benchmark::State& state) {
   ApplyDeltaBench(state, ie::kQuery3, kDeltaRounds, 100);
 }
 
-// Longer thinning intervals (500 and 2000 label changes) through Query 4's
-// self-join. On the stationary chain most changes flip the same few
-// ambiguous tokens back and forth and coalesce away, so a round carries
-// about 111 and 119 delta tuples (`delta_tuples`). A round of 2000 changes
-// takes millions of proposals, so these benches draw fewer rounds than the
-// others to keep set-up under about 30 s. The large-delta case, where the
-// ΔL⋈ΔR cross term dominates, is BM_ViewApplyDeltaJoinCross.
+// Large Query 4 deltas (500 and 2000 label changes per round) through the
+// self-join. A chain cannot supply them: the stationary chain flips the
+// same few ambiguous tokens back and forth, and 2000 of its changes
+// coalesce to about 119 delta tuples. The rounds come from
+// MakeRelabelSequence instead, 1000 and 4000 delta tuples each. The ΔL⋈ΔR
+// cross term on unfiltered deltas is BM_ViewApplyDeltaJoinCross.
 constexpr size_t kJoinHeavyRounds = 64;
 
 void BM_ViewApplyDeltaJoinHeavy(benchmark::State& state) {
   ApplyDeltaBench(state, ie::kQuery4, kJoinHeavyRounds,
-                  static_cast<size_t>(state.range(1)));
+                  static_cast<size_t>(state.range(1)), MakeRelabelSequence);
 }
 
 // --- Join cross term: ΔL⋈ΔR with unfiltered deltas -------------------------

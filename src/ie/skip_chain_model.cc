@@ -103,10 +103,11 @@ void SkipChainNerModel::CollectTouched(const factor::Change& change,
   dedupe(out->skips);
 }
 
+// inline: StepRelabelLane's loop must inline it to gain anything over the
+// virtual LogScoreDelta path.
 template <typename GetLabel>
-double SkipChainNerModel::CompiledSingleDeltaImpl(VarId var,
-                                                  uint32_t new_label,
-                                                  const GetLabel& get) const {
+inline double SkipChainNerModel::CompiledSingleDeltaImpl(
+    VarId var, uint32_t new_label, const GetLabel& get) const {
   const TokenHotBlock::Record& rec = hot_->records[var];
   const uint32_t old_label = get(var);
   const double* node_row =
@@ -144,6 +145,17 @@ double SkipChainNerModel::CompiledSingleDelta(const factor::World& world,
     return CompiledSingleDeltaImpl(var, new_label, ShadowLabels{shadow});
   }
   return CompiledSingleDeltaImpl(var, new_label, WorldLabels{&world});
+}
+
+size_t SkipChainNerModel::StepRelabelLane(infer::MetropolisHastings* chain,
+                                          size_t n,
+                                          const uint8_t* lane) const {
+  EnsureCompiled();
+  const ShadowLabels labels{lane};
+  return RunRelabelLoop(chain, n, labels,
+                        [this, labels](VarId var, uint32_t value) {
+                          return CompiledSingleDeltaImpl(var, value, labels);
+                        });
 }
 
 double SkipChainNerModel::CompiledLogScoreDelta(const factor::World& world,

@@ -30,6 +30,14 @@
 // EnableLabelShadow) — together these keep a step's whole working set in a
 // handful of cache lines. Shadow reads are value-identical to World::Get
 // by the write-through invariant, so scores are bitwise-equal either way.
+//
+// The model is also the §5.1 relabel loop's lane scorer
+// (infer::RelabelLaneModel): on a world with the shadow, Step(n) hands the
+// model the whole call, and StepRelabelLane refreshes the tables once and
+// runs the loop with the single-assignment delta over the byte lane
+// inlined — the arithmetic LogScoreDelta runs for the same one-label
+// change, without its per-call virtual dispatch, version check and layout
+// branch — so a chain walks bitwise alike through either path.
 #ifndef FGPDB_IE_SKIP_CHAIN_MODEL_H_
 #define FGPDB_IE_SKIP_CHAIN_MODEL_H_
 
@@ -40,6 +48,7 @@
 #include "factor/model.h"
 #include "ie/token_hot_block.h"
 #include "ie/token_pdb.h"
+#include "infer/relabel_lane.h"
 
 namespace fgpdb {
 namespace ie {
@@ -55,7 +64,8 @@ struct SkipChainOptions {
   size_t max_skip_group = 24;
 };
 
-class SkipChainNerModel final : public factor::FeatureModel {
+class SkipChainNerModel final : public factor::FeatureModel,
+                                public infer::RelabelLaneModel {
  public:
   /// The model scores against a TokenHotBlock: `tokens.hot` when its
   /// structure matches `options` (the default — every default-structure
@@ -87,6 +97,14 @@ class SkipChainNerModel final : public factor::FeatureModel {
       const std::vector<uint32_t>& partition) const override;
   size_t num_variables() const override { return hot_->num_tokens(); }
   size_t domain_size(factor::VarId) const override { return kNumLabels; }
+
+  // --- infer::RelabelLaneModel ----------------------------------------------
+  /// Refreshes the compiled tables, then runs `chain`'s relabel loop with
+  /// CompiledSingleDeltaImpl over `lane` inlined. Tables refresh once per
+  /// call, not per proposal: a weight update made from a listener during
+  /// Step(n) reaches this scorer at the next call.
+  size_t StepRelabelLane(infer::MetropolisHastings* chain, size_t n,
+                         const uint8_t* lane) const override;
 
   // --- factor::FeatureModel --------------------------------------------------
   void FeatureDelta(const factor::World& world, const factor::Change& change,

@@ -53,6 +53,8 @@ inline bool MetropolisAccepts(double log_alpha, Rng& rng) {
   return log_alpha >= 0.0 || UniformBelowExp(rng.Uniform(), log_alpha);
 }
 
+class RelabelLaneModel;
+
 class MetropolisHastings {
  public:
   /// Listener invoked after accepted changes are applied to the world.
@@ -96,7 +98,22 @@ class MetropolisHastings {
   ///     per step — and accepts a proposal of the current value (read from
   ///     the label shadow when the world has one) without scoring it: the
   ///     generic loop scores it to +0.0 (Model::LogScoreDelta's no-op
-  ///     contract) and accepts without a draw.
+  ///     contract) and accepts without a draw. The loop is one template
+  ///     (RelabelLoop) over its scorer, instantiated twice:
+  ///       - through the model's lane scorer, when the model implements
+  ///         RelabelLaneModel (infer/relabel_lane.h) and the world carries
+  ///         a label shadow: Step(n) makes one virtual call into the model,
+  ///         which refreshes its tables once and runs the loop with its
+  ///         one-label delta inlined;
+  ///       - through Model::LogScoreDelta otherwise (any model, or a world
+  ///         without a shadow), one virtual call per scored proposal.
+  ///     Either way the RNG, the site batch pointer and size, the
+  ///     proposals-left counter and the sampler counters live in locals
+  ///     while the loop runs. They are written back to the sampler and the
+  ///     proposal (and read again after) around every listener flush and
+  ///     every batch reload (ReloadSites, once per batch), and written back
+  ///     on return, so listeners and the reload see exactly the state the
+  ///     generic loop would have left there.
   ///   * Generic: Propose, LogScoreDelta, accept, apply — every other
   ///     proposal (GibbsProposal included), and the reference the relabel
   ///     loop is tested against.
@@ -118,6 +135,20 @@ class MetropolisHastings {
   Rng& rng() { return rng_; }
 
  private:
+  // Runs RelabelLoop with its lane scorer (RelabelLaneModel::RunRelabelLoop).
+  friend class RelabelLaneModel;
+
+  /// The relabel loop, written once: `n` transitions of relabel_'s kernel,
+  /// reading the current value of a site as label(var) and scoring a
+  /// proposal of another value as delta(var, value), which must equal
+  /// model_.LogScoreDelta(*world_, {var → value}) bitwise. Defined below
+  /// the class so a RelabelLaneModel can instantiate it with its scorer.
+  template <typename Label, typename Delta>
+  size_t RelabelLoop(size_t n, Label label, Delta delta);
+
+  /// Hands batch_applied_ to every listener (if non-empty) and clears it.
+  void Flush();
+
   const factor::Model& model_;
   factor::World* world_;
   Proposal* proposal_;
@@ -131,6 +162,9 @@ class MetropolisHastings {
   /// The proposal's relabel declaration (Proposal::AsUniformRelabel),
   /// resolved once: null runs the generic loop.
   UniformRelabelProposal* relabel_ = nullptr;
+  /// The model's lane scorer (a RelabelLaneModel), resolved once: null
+  /// scores relabel proposals through Model::LogScoreDelta.
+  const RelabelLaneModel* lane_model_ = nullptr;
 
   /// Reused proposal buffer: Propose writes into it every step (the
   /// relabel loop rewrites its one assignment in place), so the propose
@@ -142,6 +176,76 @@ class MetropolisHastings {
   uint64_t num_proposed_ = 0;
   uint64_t num_accepted_ = 0;
 };
+
+template <typename Label, typename Delta>
+size_t MetropolisHastings::RelabelLoop(size_t n, Label label, Delta delta) {
+  // UniformRelabelProposal::Propose's draws, made here: the site (reloading
+  // the batch from the RNG exactly where DrawSite would), then the value. A
+  // proposal of the current value is accepted unscored: the generic loop
+  // scores it to exactly +0.0 (the Model::LogScoreDelta no-op contract),
+  // accepts without an acceptance draw, and applies nothing. The proposal
+  // ratio is 0 and x + 0.0 decides like x, so log_alpha is the model ratio.
+  UniformRelabelProposal& proposal = *relabel_;
+  const uint32_t num_values = proposal.num_values();
+  const bool record = !listeners_.empty();
+  batch_applied_.clear();
+
+  // The per-proposal state, in locals: a rejection (nearly every proposal
+  // of a burned-in chain) writes no heap object. spill() stores it back
+  // before every call out of the loop; fill() reads back what such a call
+  // may have moved (a listener may draw from rng() or propose).
+  Rng rng = rng_;
+  uint64_t proposed = num_proposed_;
+  uint64_t accepted = num_accepted_;
+  const uint64_t end = proposed + n;
+  const uint64_t accepted_before = accepted;
+  size_t left = 0;
+  const factor::VarId* sites = nullptr;
+  size_t num_sites = 0;
+  const auto spill = [&] {
+    rng_ = rng;
+    num_proposed_ = proposed;
+    num_accepted_ = accepted;
+    proposal.proposals_left_ = left;
+  };
+  const auto fill = [&] {
+    rng = rng_;
+    left = proposal.proposals_left_;
+    sites = proposal.sites_.data();
+    num_sites = proposal.sites_.size();
+  };
+  fill();
+
+  while (proposed != end) {
+    ++proposed;
+    if (left == 0) {
+      spill();
+      proposal.proposals_left_ = proposal.ReloadSites(rng_, &proposal.sites_);
+      fill();
+    }
+    --left;
+    const factor::VarId var = sites[rng.UniformInt(num_sites)];
+    const auto value = static_cast<uint32_t>(rng.UniformInt(num_values));
+    const uint32_t old_value = label(var);
+    if (value == old_value) {
+      ++accepted;
+      continue;
+    }
+    if (!MetropolisAccepts(delta(var, value), rng)) continue;
+    world_->Set(var, value);
+    ++accepted;
+    if (!record) continue;
+    batch_applied_.push_back({var, old_value, value});
+    if (batch_applied_.size() >= kMirrorBatchLimit) {
+      spill();
+      Flush();
+      fill();
+    }
+  }
+  spill();
+  Flush();
+  return static_cast<size_t>(accepted - accepted_before);
+}
 
 }  // namespace infer
 }  // namespace fgpdb

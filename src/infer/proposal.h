@@ -30,6 +30,7 @@
 namespace fgpdb {
 namespace infer {
 
+class MetropolisHastings;
 class UniformRelabelProposal;
 
 class Proposal {
@@ -102,6 +103,9 @@ class UniformRelabelProposal : public Proposal {
   virtual size_t ReloadSites(Rng& rng, std::vector<factor::VarId>* sites) = 0;
 
  private:
+  // Step(n)'s relabel loop keeps the batch pointer and the counter in
+  // locals and reloads through ReloadSites itself, as DrawSite would.
+  friend class MetropolisHastings;
   const uint32_t num_values_;
   std::vector<factor::VarId> sites_;
   size_t proposals_left_ = 0;

@@ -535,40 +535,69 @@ TEST(CompiledScoringTest, GibbsProposalRatioCancelsModelRatio) {
 // value unscored and decides rejections through the exp-free bound. It must
 // replay the generic loop (GenericRelabel) exactly: same accepted counts,
 // counters, applied stream, final world, batch state and next RNG draw.
+// Every instantiation of the loop is held to it:
+//   * the skip-chain model on the shadow-carrying world: its lane scorer
+//     (infer::RelabelLaneModel), inlined into the loop;
+//   * the skip-chain model on a shadow-less world, and the uncompiled
+//     reference model (no lane scorer) on the shadow-carrying world: both
+//     score through Model::LogScoreDelta.
 // Call sizes split batches of 250 mid-call and cross the mirror flush; the
 // world is shuffled so early steps accept often and later ones mostly
-// reject. Then the same through a 4-shard ShardRunner.
+// reject. Between two calls a bias weight every scored proposal reads moves
+// (and is restored after the case): the lane scorer refreshes the compiled
+// tables once per Step(n), so it must see the update at the next call, as
+// the generic loop's LogScoreDelta does. The relabel chain steps first, so
+// the generic chain's scoring cannot refresh the shared tables for it. Then
+// the same through a 4-shard ShardRunner.
 TEST(CompiledScoringTest, RelabelLoopMatchesGenericLoopBitwise) {
   CompiledVsNaive fixture(8000, 89);
   fixture.world = fixture.tokens.pdb->world();  // Carries the label shadow.
   ASSERT_TRUE(fixture.world.has_label_shadow());
   Rng shuffle(19);
   fixture.ShuffleWorld(shuffle);
-  const SkipChainNerModel& model = *fixture.compiled;
+  SkipChainNerModel& model = *fixture.compiled;
   const NerProposalOptions batch{.proposals_per_batch = 250};
   const auto& docs = fixture.tokens.docs;
   const std::vector<size_t> kCalls = {7, 1, 4099, 20000, 1, 7};
+  const size_t kWeightMovesBefore = 3;  // Between Step(4099) and Step(20000).
   const uint64_t kSeed = 4242;
+  factor::Parameters& params = model.parameters();
+  const factor::FeatureId kMovedWeight = BiasFeature(kLabelO);
+  const double original_weight = params.Get(kMovedWeight);
 
   factor::World plain = fixture.world;
   plain.DisableLabelShadow();
-  for (const factor::World* start : {&fixture.world, &plain}) {
-    RecordingChain<DocumentBatchProposal> fused(model, *start, kSeed, &docs,
-                                                batch);
+  struct Case {
+    const char* name;
+    const factor::Model* model;
+    const factor::World* start;
+  };
+  for (const Case& c : {Case{"lane scorer", &model, &fixture.world},
+                        Case{"no shadow", &model, &plain},
+                        Case{"reference model", fixture.naive.get(),
+                             &fixture.world}}) {
+    SCOPED_TRACE(c.name);
+    RecordingChain<DocumentBatchProposal> fused(*c.model, *c.start, kSeed,
+                                                &docs, batch);
     RecordingChain<GenericRelabel> generic(
-        model, *start, kSeed,
+        *c.model, *c.start, kSeed,
         std::make_unique<DocumentBatchProposal>(&docs, batch));
     ASSERT_NE(fused.proposal.AsUniformRelabel(), nullptr);
     ASSERT_EQ(generic.proposal.AsUniformRelabel(), nullptr);
-    for (const size_t n : kCalls) {
-      ASSERT_EQ(fused.sampler.Step(n), generic.sampler.Step(n))
-          << "Step(" << n << ")";
+    for (size_t call = 0; call < kCalls.size(); ++call) {
+      const size_t n = kCalls[call];
+      if (call == kWeightMovesBefore) {
+        params.Set(kMovedWeight, original_weight - 2.0);
+      }
+      const size_t fused_accepted = fused.sampler.Step(n);
+      ASSERT_EQ(fused_accepted, generic.sampler.Step(n)) << "Step(" << n << ")";
       ASSERT_EQ(fused.sampler.num_proposed(), generic.sampler.num_proposed());
       ASSERT_EQ(fused.sampler.num_accepted(), generic.sampler.num_accepted());
       ASSERT_EQ(fused.proposal.proposals_left(),
                 generic.proposal.relabel().proposals_left());
       ASSERT_EQ(fused.proposal.sites(), generic.proposal.relabel().sites());
     }
+    params.Set(kMovedWeight, original_weight);
     EXPECT_GT(fused.stream.size(),
               infer::MetropolisHastings::kMirrorBatchLimit);
     EXPECT_LT(fused.sampler.acceptance_rate(), 0.5);

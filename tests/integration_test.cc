@@ -183,34 +183,42 @@ TEST(IntegrationTest, DatabaseStaysConsistentWithWorldDuringSampling) {
 TEST(IntegrationTest, AggregateAnswerDistributionIsPeaked) {
   // Fig. 7's qualitative claim: the Query 2 count distribution concentrates
   // around its mode (which is what makes MCMC effective on aggregates).
+  // Asserted for each of 8 chain seeds at 1600 samples each. At 400
+  // samples, chain seeds 97-136 read as low as 0.47, so one seed at that
+  // length tested the seed rather than the sampler; at 1600 all 40 read at
+  // least 0.89.
   const ie::SyntheticCorpus corpus = ie::GenerateCorpus(
       {.num_tokens = 2000, .tokens_per_doc = 100, .seed = 95});
   ie::TokenPdb tokens = ie::BuildTokenPdb(corpus);
   ie::SkipChainNerModel model(tokens);
   model.InitializeFromCorpusStatistics(tokens);
   tokens.pdb->set_model(&model);
-  ra::PlanPtr plan = sql::PlanQuery(ie::kQuery2, tokens.pdb->db());
-  pdb::SharedChainEvaluator evaluator(
-      tokens.pdb.get(),
-      pdb::SerialPlan([&tokens](pdb::ProbabilisticDatabase&)
-                          -> std::unique_ptr<infer::Proposal> {
-        return std::make_unique<ie::DocumentBatchProposal>(&tokens.docs);
-      }),
-      {.steps_per_sample = 500, .burn_in = 40000, .seed = 97});
-  evaluator.AddQuery(plan.get());
-  evaluator.RunQuantum(400);
-  // Mass within ±10% of the mean count should dominate.
-  const auto answer = evaluator.answer(0).Sorted();
-  double mean = 0.0;
-  for (const auto& [tuple, p] : answer) mean += tuple.at(0).AsNumeric() * p;
-  double near_mass = 0.0, total_mass = 0.0;
-  for (const auto& [tuple, p] : answer) {
-    total_mass += p;
-    if (std::abs(tuple.at(0).AsNumeric() - mean) <= 0.1 * mean + 2) {
-      near_mass += p;
+  for (const uint64_t seed : {97, 98, 99, 100, 101, 102, 103, 104}) {
+    SCOPED_TRACE(::testing::Message() << "chain seed " << seed);
+    auto pdb = tokens.pdb->Snapshot();
+    ra::PlanPtr plan = sql::PlanQuery(ie::kQuery2, pdb->db());
+    pdb::SharedChainEvaluator evaluator(
+        pdb.get(),
+        pdb::SerialPlan([&tokens](pdb::ProbabilisticDatabase&)
+                            -> std::unique_ptr<infer::Proposal> {
+          return std::make_unique<ie::DocumentBatchProposal>(&tokens.docs);
+        }),
+        {.steps_per_sample = 500, .burn_in = 40000, .seed = seed});
+    evaluator.AddQuery(plan.get());
+    evaluator.RunQuantum(1600);
+    // Mass within ±10% of the mean count should dominate.
+    const auto answer = evaluator.answer(0).Sorted();
+    double mean = 0.0;
+    for (const auto& [tuple, p] : answer) mean += tuple.at(0).AsNumeric() * p;
+    double near_mass = 0.0, total_mass = 0.0;
+    for (const auto& [tuple, p] : answer) {
+      total_mass += p;
+      if (std::abs(tuple.at(0).AsNumeric() - mean) <= 0.1 * mean + 2) {
+        near_mass += p;
+      }
     }
+    EXPECT_GT(near_mass / total_mass, 0.8);
   }
-  EXPECT_GT(near_mass / total_mass, 0.8);
 }
 
 }  // namespace
