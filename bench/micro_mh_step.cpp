@@ -9,7 +9,6 @@
 
 #include <chrono>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <utility>
 
@@ -241,10 +240,6 @@ void BM_GibbsStep(benchmark::State& state) {
   bench.tokens.pdb->DiscardDeltas();
 }
 
-// ns per step of BM_ShardRunnerStep's one-thread arm, by corpus size, for
-// the four-thread arm's speedup counter.
-std::map<size_t, double> g_shard_one_thread_ns;
-
 void BM_ShardRunnerStep(benchmark::State& state) {
   // Four shard chains stepping one burned-in world: ShardRunner::Step(n)
   // over a 4-shard document plan, one proposal per token per call, the
@@ -252,10 +247,8 @@ void BM_ShardRunnerStep(benchmark::State& state) {
   // and handed to the runner as SharedChainEvaluator does, so the chains'
   // heap state sits side by side as in the engine. range(1) is max_threads:
   // 1 steps the shards one after another, 4 steps them on four threads.
-  // `ns_per_step` is wall time per proposal (all shards), `thread_ns_per_step`
-  // the same times the thread count (one proposal's cost on one thread),
-  // and `speedup` (four-thread arm, after the one-thread arm of the same
-  // size ran) is the one-thread ns_per_step over this arm's.
+  // `ns_per_step` is wall time per proposal (all shards); the one-thread
+  // arm's over the four-thread arm's is the speedup.
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t threads = static_cast<size_t>(state.range(1));
   constexpr size_t kShards = 4;
@@ -289,18 +282,9 @@ void BM_ShardRunnerStep(benchmark::State& state) {
                                 std::chrono::steady_clock::now() - start)
                                 .count();
   benchmark::DoNotOptimize(applied);
-  const double ns_per_step =
+  state.counters["ns_per_step"] =
       elapsed_ns / (static_cast<double>(state.iterations()) *
                     static_cast<double>(n));
-  state.counters["ns_per_step"] = ns_per_step;
-  state.counters["thread_ns_per_step"] =
-      ns_per_step * static_cast<double>(threads);
-  if (threads == 1) {
-    g_shard_one_thread_ns[n] = ns_per_step;
-  } else if (const auto it = g_shard_one_thread_ns.find(n);
-             it != g_shard_one_thread_ns.end()) {
-    state.counters["speedup"] = it->second / ns_per_step;
-  }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
   state.SetLabel(std::to_string(n) + " tuples, " + std::to_string(kShards) +

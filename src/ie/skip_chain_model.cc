@@ -103,11 +103,10 @@ void SkipChainNerModel::CollectTouched(const factor::Change& change,
   dedupe(out->skips);
 }
 
-// inline: StepRelabelLane's loop must inline it to gain anything over the
-// virtual LogScoreDelta path.
 template <typename GetLabel>
-inline double SkipChainNerModel::CompiledSingleDeltaImpl(
-    VarId var, uint32_t new_label, const GetLabel& get) const {
+double SkipChainNerModel::CompiledSingleDeltaImpl(VarId var,
+                                                  uint32_t new_label,
+                                                  const GetLabel& get) const {
   const TokenHotBlock::Record& rec = hot_->records[var];
   const uint32_t old_label = get(var);
   const double* node_row =
@@ -152,7 +151,7 @@ size_t SkipChainNerModel::StepRelabelLane(infer::MetropolisHastings* chain,
                                           const uint8_t* lane) const {
   EnsureCompiled();
   const ShadowLabels labels{lane};
-  return RunRelabelLoop(chain, n, labels,
+  return RunRelabelLoop(chain, n, lane,
                         [this, labels](VarId var, uint32_t value) {
                           return CompiledSingleDeltaImpl(var, value, labels);
                         });

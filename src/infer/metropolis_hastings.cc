@@ -17,7 +17,9 @@ MetropolisHastings::MetropolisHastings(const factor::Model& model,
   FGPDB_CHECK(world_ != nullptr);
   FGPDB_CHECK(proposal_ != nullptr);
   relabel_ = proposal_->AsUniformRelabel();
-  lane_model_ = dynamic_cast<const RelabelLaneModel*>(&model_);
+  if (relabel_ != nullptr) {
+    lane_model_ = dynamic_cast<const RelabelLaneModel*>(&model_);
+  }
 }
 
 void MetropolisHastings::Flush() {
@@ -42,31 +44,16 @@ size_t MetropolisHastings::Step(size_t n) {
   // a flush is exactly what the same steps would have reported one at a
   // time: same assignments, same order, same coalesced deltas. Without
   // listeners the applied stream has no consumer and is not recorded.
-  if (relabel_ != nullptr) {
-    const uint8_t* const shadow = world_->label_shadow();
-    if (lane_model_ != nullptr && shadow != nullptr) {
-      return lane_model_->StepRelabelLane(this, n, shadow);
+  if (lane_model_ != nullptr) {
+    if (const uint8_t* const lane = world_->label_shadow()) {
+      return lane_model_->StepRelabelLane(this, n, lane);
     }
-    // Scored through the model: the one-assignment change_buf_ is rewritten
-    // in place per scored proposal.
-    change_buf_.Clear();
-    change_buf_.Set(0, 0);
-    factor::Assignment& proposed = change_buf_.assignments[0];
-    return RelabelLoop(
-        n,
-        [&](factor::VarId var) -> uint32_t {
-          return shadow != nullptr ? shadow[var] : world_->Get(var);
-        },
-        [&](factor::VarId var, uint32_t value) {
-          proposed = {var, value};
-          return model_.LogScoreDelta(*world_, change_buf_,
-                                      score_scratch_.get());
-        });
   }
 
   // Generic: Propose, LogScoreDelta, accept, apply — every other proposal
-  // (single-site Gibbs included), and the reference the relabel loop is
-  // tested against.
+  // (single-site Gibbs included, and the relabel kernel on a model without
+  // a lane scorer or a world without a label lane), and the reference the
+  // relabel loop is tested against.
   const bool record = !listeners_.empty();
   batch_applied_.clear();
   size_t accepted = 0;

@@ -88,35 +88,31 @@ class MetropolisHastings {
   /// what n calls of Step(1) would have shown them, in the same order.
   /// Returns the number of accepted transitions.
   ///
-  /// The proposal's declaration picks one of two loops; both decide
-  /// acceptance through MetropolisAccepts, and the relabel loop replays
-  /// the generic loop draw-for-draw, so accepted jumps, applied streams,
-  /// counters, final worlds and the next RNG draw are bitwise-identical to
-  /// running the same kernel through it.
-  ///   * Relabel (Proposal::AsUniformRelabel, the §5.1 kernel): draws the
-  ///     site and the value inline — no virtual Propose, no Change rebuilt
-  ///     per step — and accepts a proposal of the current value (read from
-  ///     the label shadow when the world has one) without scoring it: the
+  /// One of two loops runs; both decide acceptance through
+  /// MetropolisAccepts, and the relabel loop replays the generic loop
+  /// draw-for-draw, so accepted jumps, applied streams, counters, final
+  /// worlds and the next RNG draw are bitwise-identical to running the
+  /// same kernel through it.
+  ///   * Relabel (the §5.1 kernel): runs when the proposal declares it
+  ///     (Proposal::AsUniformRelabel), the model implements
+  ///     RelabelLaneModel (infer/relabel_lane.h) and the world carries a
+  ///     label shadow. Step(n) makes one virtual call into the model,
+  ///     which refreshes what its scorer caches and runs RelabelLoop with
+  ///     its one-label delta inlined. The loop draws the site and the
+  ///     value itself — no virtual Propose, no Change built per step — and
+  ///     accepts a proposal of the current value without scoring it: the
   ///     generic loop scores it to +0.0 (Model::LogScoreDelta's no-op
-  ///     contract) and accepts without a draw. The loop is one template
-  ///     (RelabelLoop) over its scorer, instantiated twice:
-  ///       - through the model's lane scorer, when the model implements
-  ///         RelabelLaneModel (infer/relabel_lane.h) and the world carries
-  ///         a label shadow: Step(n) makes one virtual call into the model,
-  ///         which refreshes its tables once and runs the loop with its
-  ///         one-label delta inlined;
-  ///       - through Model::LogScoreDelta otherwise (any model, or a world
-  ///         without a shadow), one virtual call per scored proposal.
-  ///     Either way the RNG, the site batch pointer and size, the
-  ///     proposals-left counter and the sampler counters live in locals
-  ///     while the loop runs. They are written back to the sampler and the
-  ///     proposal (and read again after) around every listener flush and
-  ///     every batch reload (ReloadSites, once per batch), and written back
-  ///     on return, so listeners and the reload see exactly the state the
-  ///     generic loop would have left there.
+  ///     contract) and accepts without a draw. The RNG, the site batch
+  ///     pointer and size, the proposals-left counter and the sampler
+  ///     counters live in locals while it runs. They are written back to
+  ///     the sampler and the proposal (and read again after) around every
+  ///     listener flush and every batch reload (ReloadSites, once per
+  ///     batch), and written back on return, so listeners and the reload
+  ///     see exactly the state the generic loop would have left there.
   ///   * Generic: Propose, LogScoreDelta, accept, apply — every other
-  ///     proposal (GibbsProposal included), and the reference the relabel
-  ///     loop is tested against.
+  ///     proposal (GibbsProposal included), the relabel kernel on any
+  ///     other model or world, and the reference the relabel loop is
+  ///     tested against.
   size_t Step(size_t n);
 
   /// Runs `n` transitions (Algorithm 2's random walk).
@@ -138,13 +134,13 @@ class MetropolisHastings {
   // Runs RelabelLoop with its lane scorer (RelabelLaneModel::RunRelabelLoop).
   friend class RelabelLaneModel;
 
-  /// The relabel loop, written once: `n` transitions of relabel_'s kernel,
-  /// reading the current value of a site as label(var) and scoring a
-  /// proposal of another value as delta(var, value), which must equal
-  /// model_.LogScoreDelta(*world_, {var → value}) bitwise. Defined below
-  /// the class so a RelabelLaneModel can instantiate it with its scorer.
-  template <typename Label, typename Delta>
-  size_t RelabelLoop(size_t n, Label label, Delta delta);
+  /// The relabel loop: `n` transitions of relabel_'s kernel on a world
+  /// whose label shadow is `lane`, scoring a proposal of a new value as
+  /// delta(var, value), which must equal model_.LogScoreDelta(*world_,
+  /// {var → value}) bitwise. Defined below the class so a RelabelLaneModel
+  /// can instantiate it with its scorer inlined.
+  template <typename Delta>
+  size_t RelabelLoop(size_t n, const uint8_t* lane, Delta delta);
 
   /// Hands batch_applied_ to every listener (if non-empty) and clears it.
   void Flush();
@@ -162,13 +158,12 @@ class MetropolisHastings {
   /// The proposal's relabel declaration (Proposal::AsUniformRelabel),
   /// resolved once: null runs the generic loop.
   UniformRelabelProposal* relabel_ = nullptr;
-  /// The model's lane scorer (a RelabelLaneModel), resolved once: null
-  /// scores relabel proposals through Model::LogScoreDelta.
+  /// The model's lane scorer (a RelabelLaneModel), resolved once when
+  /// relabel_ is set: null runs the generic loop.
   const RelabelLaneModel* lane_model_ = nullptr;
 
-  /// Reused proposal buffer: Propose writes into it every step (the
-  /// relabel loop rewrites its one assignment in place), so the propose
-  /// phase does zero allocation.
+  /// Reused proposal buffer: Propose writes into it every step, so the
+  /// propose phase does zero allocation.
   factor::Change change_buf_;
   /// Accepted-jump buffer; flushed to listeners at kMirrorBatchLimit
   /// assignments and at the end of every Step(n).
@@ -177,8 +172,9 @@ class MetropolisHastings {
   uint64_t num_accepted_ = 0;
 };
 
-template <typename Label, typename Delta>
-size_t MetropolisHastings::RelabelLoop(size_t n, Label label, Delta delta) {
+template <typename Delta>
+size_t MetropolisHastings::RelabelLoop(size_t n, const uint8_t* lane,
+                                       Delta delta) {
   // UniformRelabelProposal::Propose's draws, made here: the site (reloading
   // the batch from the RNG exactly where DrawSite would), then the value. A
   // proposal of the current value is accepted unscored: the generic loop
@@ -226,7 +222,7 @@ size_t MetropolisHastings::RelabelLoop(size_t n, Label label, Delta delta) {
     --left;
     const factor::VarId var = sites[rng.UniformInt(num_sites)];
     const auto value = static_cast<uint32_t>(rng.UniformInt(num_values));
-    const uint32_t old_value = label(var);
+    const uint32_t old_value = lane[var];
     if (value == old_value) {
       ++accepted;
       continue;

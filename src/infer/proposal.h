@@ -13,10 +13,12 @@
 //
 // One kernel can declare itself so MetropolisHastings::Step(n) runs a
 // fused loop for it: the §5.1 uniform relabel (AsUniformRelabel, a
-// UniformRelabelProposal). That loop makes the kernel's draws itself and
-// must leave every draw, applied assignment and world bitwise as the
-// generic loop would; the tests hold it to a forwarding wrapper that does
-// not declare. Every other proposal runs through the generic loop.
+// UniformRelabelProposal), over a model with a lane scorer
+// (infer/relabel_lane.h) on a world with a label shadow. That loop makes
+// the kernel's draws itself and must leave every draw, applied assignment
+// and world bitwise as the generic loop would; the tests hold it to a
+// forwarding wrapper that does not declare. Every other proposal, and the
+// kernel over any other model or world, runs through the generic loop.
 #ifndef FGPDB_INFER_PROPOSAL_H_
 #define FGPDB_INFER_PROPOSAL_H_
 
@@ -54,11 +56,11 @@ class Proposal {
 
   /// Non-null when this proposal IS the uniform-relabel kernel of paper
   /// §5.1 (a UniformRelabelProposal, whose Propose() is final). Declaring
-  /// it makes MetropolisHastings::Step(n) run its relabel loop, which makes
-  /// the same draws as Propose() inline and decides each proposal exactly
-  /// as the generic loop would; an undeclared wrapper around the same
-  /// kernel runs through the generic loop (the path the tests compare it
-  /// to).
+  /// it lets MetropolisHastings::Step(n) run its relabel loop (over a
+  /// lane-scoring model on a shadowed world), which makes the same draws
+  /// as Propose() inline and decides each proposal exactly as the generic
+  /// loop would; an undeclared wrapper around the same kernel runs through
+  /// the generic loop (the path the tests compare it to).
   virtual UniformRelabelProposal* AsUniformRelabel() { return nullptr; }
 };
 

@@ -303,10 +303,14 @@ TEST(CompiledScoringTest, EntityResolutionDeltaMatchesGlobalDifference) {
 // The step kernel's seed-schedule contract: Step(n) must land on the same
 // world as n calls of Step() and as n ReferenceSteps at the same seed,
 // accept the same count, and show listeners the same applied stream in the
-// same order. A shuffled start keeps acceptance high enough that Step(n)
-// crosses its mid-batch mirror flush.
+// same order — through the relabel loop on a world carrying the label
+// shadow, and through the generic loop on a copy without it. A shuffled
+// start keeps acceptance high enough that Step(n) crosses its mid-batch
+// mirror flush.
 TEST(CompiledScoringTest, BatchedStepMatchesSingleStepsBitwise) {
   CompiledVsNaive fixture(6000, 31);
+  fixture.world = fixture.tokens.pdb->world();  // Carries the label shadow.
+  ASSERT_TRUE(fixture.world.has_label_shadow());
   Rng shuffle(8);
   fixture.ShuffleWorld(shuffle);
   const size_t kSteps = 20000;
@@ -314,32 +318,39 @@ TEST(CompiledScoringTest, BatchedStepMatchesSingleStepsBitwise) {
   const NerProposalOptions batch{.proposals_per_batch = 250};
   const auto& docs = fixture.tokens.docs;
 
-  using Chain = RecordingChain<DocumentBatchProposal>;
-  Chain batched(*fixture.compiled, fixture.world, kSeed, &docs, batch);
-  Chain single(*fixture.compiled, fixture.world, kSeed, &docs, batch);
-  // Walked by ReferenceStep; its sampler stays idle.
-  Chain reference(*fixture.compiled, fixture.world, kSeed, &docs, batch);
-  Rng reference_rng(kSeed);
+  factor::World plain = fixture.world;
+  plain.DisableLabelShadow();
+  for (const factor::World* start : {&fixture.world, &plain}) {
+    SCOPED_TRACE(start->has_label_shadow() ? "shadow" : "no shadow");
+    using Chain = RecordingChain<DocumentBatchProposal>;
+    Chain batched(*fixture.compiled, *start, kSeed, &docs, batch);
+    Chain single(*fixture.compiled, *start, kSeed, &docs, batch);
+    // Walked by ReferenceStep; its sampler stays idle.
+    Chain reference(*fixture.compiled, *start, kSeed, &docs, batch);
+    Rng reference_rng(kSeed);
 
-  const size_t accepted_batched = batched.sampler.Step(kSteps);
-  size_t accepted_single = 0;
-  size_t accepted_reference = 0;
-  for (size_t i = 0; i < kSteps; ++i) {
-    if (single.sampler.Step()) ++accepted_single;
-    if (ReferenceStep(*fixture.compiled, &reference.world, &reference.proposal,
-                      &reference_rng, &reference.stream)) {
-      ++accepted_reference;
+    const size_t accepted_batched = batched.sampler.Step(kSteps);
+    size_t accepted_single = 0;
+    size_t accepted_reference = 0;
+    for (size_t i = 0; i < kSteps; ++i) {
+      if (single.sampler.Step()) ++accepted_single;
+      if (ReferenceStep(*fixture.compiled, &reference.world,
+                        &reference.proposal, &reference_rng,
+                        &reference.stream)) {
+        ++accepted_reference;
+      }
     }
-  }
 
-  EXPECT_EQ(accepted_batched, accepted_single);
-  EXPECT_EQ(accepted_batched, accepted_reference);
-  EXPECT_EQ(batched.sampler.num_accepted(), single.sampler.num_accepted());
-  EXPECT_GT(batched.stream.size(),
-            infer::MetropolisHastings::kMirrorBatchLimit);
-  ExpectSameWalk(batched.world, batched.stream, single.world, single.stream);
-  ExpectSameWalk(batched.world, batched.stream, reference.world,
-                 reference.stream);
+    EXPECT_EQ(accepted_batched, accepted_single);
+    EXPECT_EQ(accepted_batched, accepted_reference);
+    EXPECT_EQ(batched.sampler.num_accepted(), single.sampler.num_accepted());
+    EXPECT_GT(batched.stream.size(),
+              infer::MetropolisHastings::kMirrorBatchLimit);
+    ExpectSameWalk(batched.world, batched.stream, single.world,
+                   single.stream);
+    ExpectSameWalk(batched.world, batched.stream, reference.world,
+                   reference.stream);
+  }
 }
 
 // Single-site Gibbs through Step(n)'s generic loop: GibbsProposal fills its
@@ -531,24 +542,23 @@ TEST(CompiledScoringTest, GibbsProposalRatioCancelsModelRatio) {
 }
 
 // The relabel loop: with the §5.1 kernel declared (DocumentBatchProposal),
-// Step(n) draws site and value inline, accepts proposals of the current
-// value unscored and decides rejections through the exp-free bound. It must
-// replay the generic loop (GenericRelabel) exactly: same accepted counts,
-// counters, applied stream, final world, batch state and next RNG draw.
-// Every instantiation of the loop is held to it:
-//   * the skip-chain model on the shadow-carrying world: its lane scorer
-//     (infer::RelabelLaneModel), inlined into the loop;
-//   * the skip-chain model on a shadow-less world, and the uncompiled
-//     reference model (no lane scorer) on the shadow-carrying world: both
-//     score through Model::LogScoreDelta.
-// Call sizes split batches of 250 mid-call and cross the mirror flush; the
-// world is shuffled so early steps accept often and later ones mostly
-// reject. Between two calls a bias weight every scored proposal reads moves
-// (and is restored after the case): the lane scorer refreshes the compiled
-// tables once per Step(n), so it must see the update at the next call, as
-// the generic loop's LogScoreDelta does. The relabel chain steps first, so
-// the generic chain's scoring cannot refresh the shared tables for it. Then
-// the same through a 4-shard ShardRunner.
+// a model with a lane scorer (the skip-chain model, an
+// infer::RelabelLaneModel) and a world carrying the label shadow, Step(n)
+// runs the relabel loop with the model's one-label delta inlined: it draws
+// site and value inline, accepts proposals of the current value unscored
+// and decides rejections through the exp-free bound. It must replay the
+// generic loop (GenericRelabel) and ReferenceStep exactly: same accepted
+// counts, counters, applied stream, final world, batch state and next RNG
+// draw. The same kernel on a shadow-less world, or over the uncompiled
+// reference model (no lane scorer) on the shadowed world, runs the generic
+// loop and must replay both too. Call sizes split batches of 250 mid-call
+// and cross the mirror flush; the world is shuffled so early steps accept
+// often and later ones mostly reject. Between two calls a bias weight
+// every scored proposal reads moves (and is restored after the case): the
+// lane scorer refreshes the compiled tables once per Step(n), so it must
+// see the update at the next call, as LogScoreDelta does. The relabel
+// chain steps first, so the other walks' scoring cannot refresh the shared
+// tables for it. Then the same through a 4-shard ShardRunner.
 TEST(CompiledScoringTest, RelabelLoopMatchesGenericLoopBitwise) {
   CompiledVsNaive fixture(8000, 89);
   fixture.world = fixture.tokens.pdb->world();  // Carries the label shadow.
@@ -582,8 +592,14 @@ TEST(CompiledScoringTest, RelabelLoopMatchesGenericLoopBitwise) {
     RecordingChain<GenericRelabel> generic(
         *c.model, *c.start, kSeed,
         std::make_unique<DocumentBatchProposal>(&docs, batch));
+    // Walked by ReferenceStep; its sampler stays idle.
+    RecordingChain<DocumentBatchProposal> reference(*c.model, *c.start, kSeed,
+                                                    &docs, batch);
+    Rng reference_rng(kSeed);
     ASSERT_NE(fused.proposal.AsUniformRelabel(), nullptr);
     ASSERT_EQ(generic.proposal.AsUniformRelabel(), nullptr);
+    uint64_t reference_proposed = 0;
+    uint64_t reference_accepted = 0;
     for (size_t call = 0; call < kCalls.size(); ++call) {
       const size_t n = kCalls[call];
       if (call == kWeightMovesBefore) {
@@ -591,18 +607,37 @@ TEST(CompiledScoringTest, RelabelLoopMatchesGenericLoopBitwise) {
       }
       const size_t fused_accepted = fused.sampler.Step(n);
       ASSERT_EQ(fused_accepted, generic.sampler.Step(n)) << "Step(" << n << ")";
+      size_t call_accepted = 0;
+      for (size_t i = 0; i < n; ++i) {
+        if (ReferenceStep(*c.model, &reference.world, &reference.proposal,
+                          &reference_rng, &reference.stream)) {
+          ++call_accepted;
+        }
+      }
+      reference_proposed += n;
+      reference_accepted += call_accepted;
+      ASSERT_EQ(fused_accepted, call_accepted) << "Step(" << n << ")";
       ASSERT_EQ(fused.sampler.num_proposed(), generic.sampler.num_proposed());
       ASSERT_EQ(fused.sampler.num_accepted(), generic.sampler.num_accepted());
+      ASSERT_EQ(fused.sampler.num_proposed(), reference_proposed);
+      ASSERT_EQ(fused.sampler.num_accepted(), reference_accepted);
       ASSERT_EQ(fused.proposal.proposals_left(),
                 generic.proposal.relabel().proposals_left());
       ASSERT_EQ(fused.proposal.sites(), generic.proposal.relabel().sites());
+      ASSERT_EQ(fused.proposal.proposals_left(),
+                reference.proposal.proposals_left());
+      ASSERT_EQ(fused.proposal.sites(), reference.proposal.sites());
     }
     params.Set(kMovedWeight, original_weight);
     EXPECT_GT(fused.stream.size(),
               infer::MetropolisHastings::kMirrorBatchLimit);
     EXPECT_LT(fused.sampler.acceptance_rate(), 0.5);
     ExpectSameWalk(fused.world, fused.stream, generic.world, generic.stream);
-    EXPECT_EQ(fused.sampler.rng().Next(), generic.sampler.rng().Next());
+    ExpectSameWalk(fused.world, fused.stream, reference.world,
+                   reference.stream);
+    const uint64_t next_draw = fused.sampler.rng().Next();
+    EXPECT_EQ(next_draw, generic.sampler.rng().Next());
+    EXPECT_EQ(next_draw, reference_rng.Next());
     EXPECT_TRUE(fused.world.LabelShadowConsistent());
   }
 
